@@ -22,6 +22,8 @@ CASES = {
         "--v", "0,1,0,-1", "--type", "[[1,1]]",
     ],
     "tableaux.json": ["tableaux", "--g", "2", "--k", "2", "--r", "1", "--d", "1"],
+    "types.json": ["types", "--g", "4", "--k", "2", "--v", "0,1,0,0", "--r", "1"],
+    "verify.json": ["verify", "--suite", "all", "--max-g", "5", "--max-k", "3"],
 }
 
 PLOTS = {
