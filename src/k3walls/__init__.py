@@ -53,10 +53,12 @@ from .strata import (
     TypeEnumeration,
     Verdict,
     balanced_nonempty,
+    balanced_type,
     ell_value,
     enumerate_types,
     residual_vector,
     stratum_dimension,
+    type_verdict,
     validate_type,
     wall_sequence,
 )

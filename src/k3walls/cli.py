@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import chains, hbn, strata, tableaux, verify
 from .errors import DomainError, OracleViolation, SearchBudgetExceeded
 from .jsonio import dumps_canonical, frac_str, parse_frac
-from .lattice import MukaiVector, SurfaceParams, line_bundle_vector, square
+from .lattice import MukaiVector, SurfaceParams, line_bundle_vector
 from .stability import StabilityParams, default_epsilon, wall_on_axis
 from .svg import render_wall_diagram
 
@@ -62,31 +62,14 @@ def _parse_viewport(text: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         raise DomainError(f"bad viewport {text!r}: {exc}", code="bad_viewport") from exc
 
 
-def _stability_params(args) -> tuple[SurfaceParams, StabilityParams, str]:
+def _stability_params(args) -> tuple[MukaiVector, StabilityParams, str]:
     params = SurfaceParams(args.g, args.k)
     v = _parse_vector(args.v)
     if args.eps is not None:
         eps = parse_frac(args.eps)
     else:
         eps = default_epsilon(params, v)
-    return params, StabilityParams(params, eps), frac_str(eps)
-
-
-def _type_verdict(params, v, t: strata.StabilityType) -> str:
-    residual = strata.residual_vector(params, v, t)
-    if square(params, residual) < -2:
-        return strata.Verdict.EMPTY_BY_NECESSITY.value
-    pairs = t.pairs
-    balanced = len(pairs) == 1 or (len(pairs) == 2 and pairs[0][0] == pairs[1][0] + 1)
-    if balanced and v.r <= 0 and v.x == 1 and v.y <= 0:
-        if v.ch2 < 0:
-            case = strata.DegreeCase.GENERIC
-        elif v.ch2 == 0 and v.r == 0:
-            case = strata.DegreeCase.GENUS_MINUS_ONE
-        else:
-            return strata.Verdict.UNKNOWN.value
-        return strata.balanced_nonempty(params, v, t, case).verdict.value
-    return strata.Verdict.UNKNOWN.value
+    return v, StabilityParams(params, eps), frac_str(eps)
 
 
 def _report(command: str, inputs: dict, result, warnings: list[str]) -> dict:
@@ -165,7 +148,7 @@ def _cmd_types(args) -> int:
                 "type": t.to_list(),
                 "dim": strata.stratum_dimension(params, v, t),
                 "ell": strata.ell_value(t, args.r),
-                "verdict": _type_verdict(params, v, t),
+                "verdict": strata.type_verdict(params, v, t).value,
             }
         )
     result = {
@@ -184,8 +167,7 @@ def _cmd_types(args) -> int:
 
 
 def _cmd_walls(args) -> int:
-    params, sp, eps_text = _stability_params(args)
-    v = _parse_vector(args.v)
+    v, sp, eps_text = _stability_params(args)
     t = _parse_type(args.type)
     walls = strata.wall_sequence(sp, v, t)
     result = {"eps": eps_text, "walls": [w.to_dict() for w in walls]}
@@ -251,8 +233,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_plot_walls(args) -> int:
-    params, sp, eps_text = _stability_params(args)
-    v = _parse_vector(args.v)
+    v, sp, eps_text = _stability_params(args)
     walls = []
     if args.type is not None:
         t = _parse_type(args.type)
@@ -260,8 +241,11 @@ def _cmd_plot_walls(args) -> int:
             walls.append(wall_on_axis(sp, v, line_bundle_vector(e)))
     viewport = _parse_viewport(args.viewport)
     svg, warnings = render_wall_diagram(sp, v, walls, viewport)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(svg)
+    try:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(svg)
+    except OSError as exc:
+        raise DomainError(f"cannot write the SVG: {exc}", code="bad_output") from exc
     result = {
         "eps": eps_text,
         "out": args.out,
@@ -350,35 +334,28 @@ def build_parser() -> _ArgumentParser:
     return parser
 
 
+# exception type -> (error code, exit status); a DomainError carries its own code
+ERRORS = {
+    DomainError: (None, EXIT_DOMAIN_ERROR),
+    SearchBudgetExceeded: ("budget_exhausted", EXIT_DOMAIN_ERROR),
+    OracleViolation: ("oracle_violation", EXIT_VERIFICATION_FAILURE),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except DomainError as exc:
+    except tuple(ERRORS) as exc:
+        code, status = next(entry for kind, entry in ERRORS.items() if isinstance(exc, kind))
         payload = {
             "schema_version": SCHEMA_VERSION,
-            "error": {"code": exc.code, "message": str(exc)},
+            "error": {"code": code or exc.code, "message": str(exc)},
         }
         sys.stdout.write(dumps_canonical(payload))
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DOMAIN_ERROR
-    except SearchBudgetExceeded as exc:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "error": {"code": "budget_exhausted", "message": str(exc)},
-        }
-        sys.stdout.write(dumps_canonical(payload))
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DOMAIN_ERROR
-    except OracleViolation as exc:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "error": {"code": "oracle_violation", "message": str(exc)},
-        }
-        sys.stdout.write(dumps_canonical(payload))
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VERIFICATION_FAILURE
+        return status
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainError, OracleViolation
+from .lattice import check_pencil_degree
 
 
 def rho(g: int, r: int, d: int) -> int:
@@ -23,6 +24,7 @@ def rho_k(g: int, k: int, r: int, d: int) -> tuple[int, list[int]]:
     """max over 0 <= ell <= r of rho(g, r-ell, d) - ell*k, with all maximizers."""
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}", code="bad_rank")
+    check_pencil_degree(k)
     values = [rho(g, r - ell, d) - ell * k for ell in range(r + 1)]
     best = max(values)
     return best, [ell for ell, v in enumerate(values) if v == best]

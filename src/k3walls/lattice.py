@@ -16,6 +16,12 @@ from fractions import Fraction
 from .errors import DomainError
 
 
+def check_pencil_degree(k: int) -> None:
+    """A degree-k pencil needs k >= 2."""
+    if k < 2:
+        raise DomainError(f"pencil degree must be >= 2, got {k}", code="bad_pencil_degree")
+
+
 @dataclass(frozen=True)
 class SurfaceParams:
     """The pair (g, k) fixing the lattice: H^2 = 2g-2, E^2 = 0, H.E = k."""
@@ -26,8 +32,7 @@ class SurfaceParams:
     def __post_init__(self):
         if self.g < 3:
             raise DomainError(f"genus must be >= 3, got {self.g}", code="bad_genus")
-        if self.k < 2:
-            raise DomainError(f"pencil degree must be >= 2, got {self.k}", code="bad_pencil_degree")
+        check_pencil_degree(self.k)
 
     @property
     def h_square(self) -> int:

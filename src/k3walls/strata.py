@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .hbn import ell_decompose
 from .lattice import MukaiVector, SurfaceParams, line_bundle_vector, mukai_pairing, square
 from .stability import StabilityParams, WallPoint, wall_on_axis
 
@@ -193,8 +194,8 @@ class NonemptinessVerdict:
     square: int
 
 
-def _balanced_data(t) -> tuple[int, int, int]:
-    """Normalize balanced input to (e, m1, m2); m1 = 0 is allowed."""
+def _balanced_data(t) -> tuple[int, int, int] | None:
+    """Normalize balanced input to (e, m1, m2), m1 = 0 allowed; None if not balanced."""
     pairs = t.pairs if isinstance(t, StabilityType) else tuple(tuple(p) for p in t)
     if len(pairs) == 1:
         (e, m2), m1 = pairs[0], 0
@@ -204,7 +205,13 @@ def _balanced_data(t) -> tuple[int, int, int]:
         (e1, m1), (e2, m2) = pairs
         if e1 == e2 + 1 and e2 >= 0 and m1 >= 0 and m2 > 0:
             return e2, m1, m2
-    raise DomainError("non-balanced type", code="not_balanced")
+    return None
+
+
+def balanced_type(r: int, ell: int) -> StabilityType:
+    """The type {(e+1, m1), (e, m2)} of ell_decompose(r, ell), without a pair of m1 = 0."""
+    dec = ell_decompose(r, ell)
+    return StabilityType(tuple((e, m) for e, m in ((dec.e + 1, dec.m1), (dec.e, dec.m2)) if m))
 
 
 def balanced_nonempty(
@@ -220,7 +227,10 @@ def balanced_nonempty(
     in the genus-minus-one case).  A square below -2 forces emptiness.  When
     only the multiplicity bound fails the answer is genuinely unknown.
     """
-    e, m1, m2 = _balanced_data(t)
+    data = _balanced_data(t)
+    if data is None:
+        raise DomainError("non-balanced type", code="not_balanced")
+    e, m1, m2 = data
     _check_special_shape(v)
     if v.r > 0:
         raise DomainError(f"expected rank <= 0, got {v}", code="bad_vector_shape")
@@ -243,6 +253,27 @@ def balanced_nonempty(
     if sufficient:
         return NonemptinessVerdict(Verdict.NON_EMPTY, sq)
     return NonemptinessVerdict(Verdict.UNKNOWN, sq)
+
+
+def type_verdict(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> Verdict:
+    """The emptiness verdict of any type of v.
+
+    A residual square below -2 forces emptiness.  Otherwise only a balanced
+    type with v of shape (r0 <= 0, H - a0*E, s0 + r0) in one of the two degree
+    cases gets a decision; everything else is unknown.
+    """
+    if square(params, residual_vector(params, v, t)) < -2:
+        return Verdict.EMPTY_BY_NECESSITY
+    case = degree_case_for(v)
+    if (
+        _balanced_data(t) is None
+        or v.r > 0
+        or v.x != 1
+        or v.y > 0
+        or (v.ch2 >= 0 and case is DegreeCase.GENERIC)
+    ):
+        return Verdict.UNKNOWN
+    return balanced_nonempty(params, v, t, case).verdict
 
 
 def wall_sequence(sp: StabilityParams, v: MukaiVector, t: StabilityType) -> list[WallPoint]:

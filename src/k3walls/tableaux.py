@@ -14,6 +14,7 @@ from typing import Optional
 
 from .errors import DomainError, OracleViolation, SearchBudgetExceeded
 from .hbn import rho_k
+from .lattice import check_pencil_degree
 
 
 @dataclass(frozen=True)
@@ -93,6 +94,7 @@ def max_omitted(g: int, k: int, r: int, d: int, budget: Optional[int] = None) ->
     an error; running out of ``budget`` nodes is an error.
     """
     rows, cols = _grid_shape(g, r, d)
+    check_pencil_degree(k)
     total = rows * cols
     grid = [[0] * cols for _ in range(rows)]
     residue: dict[int, int] = {}
@@ -152,6 +154,7 @@ def max_omitted(g: int, k: int, r: int, d: int, budget: Optional[int] = None) ->
 def max_omitted_naive(g: int, k: int, r: int, d: int) -> SearchResult:
     """Reference enumeration without pruning, for oracle-vs-oracle testing."""
     rows, cols = _grid_shape(g, r, d)
+    check_pencil_degree(k)
     total = rows * cols
     grid = [[0] * cols for _ in range(rows)]
     state = {"best": -1, "witness": None, "nodes": 0}

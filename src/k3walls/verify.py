@@ -1,23 +1,20 @@
 """Property suites behind the ``verify`` subcommand.
 
-Each check is a pure function of its ranges and a fixed seed, so results are
-identical regardless of worker count or scheduling.  Checks are grouped by
-the module whose invariants they exercise; ``run_checks`` executes a set of
-suites on a thread pool and returns results in canonical name order.
+Each check is a pure function of its ranges and a fixed seed.  Checks are
+grouped by the module whose invariants they exercise; ``run_checks`` runs a
+set of suites one check after another and returns results in canonical name
+order.
 """
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chains, hbn, lattice, stability, strata, tableaux
 from .errors import DomainError
 
-THREADS_ENV = "K3WALLS_THREADS"
 SUITES = ("lattice", "stability", "strata", "hbn", "tableaux", "chains")
 
 
@@ -160,13 +157,7 @@ def check_strata_dimension_identity(max_g, max_k, budget=6):
                 v = _vector_for(g, d)
                 for r in range(0, budget + 1):
                     for ell in range(max(0, r + 1 - k), r + 1):
-                        dec = hbn.ell_decompose(r, ell)
-                        pairs = []
-                        if dec.m1 > 0:
-                            pairs.append((dec.e + 1, dec.m1))
-                        pairs.append((dec.e, dec.m2))
-                        t = strata.StabilityType(tuple(pairs))
-                        got = strata.stratum_dimension(params, v, t)
+                        got = strata.stratum_dimension(params, v, strata.balanced_type(r, ell))
                         want = g + hbn.rho(g, r - ell, d) - ell * k
                         if got != want:
                             return CheckResult(
@@ -224,16 +215,9 @@ def check_strata_nonexistence(max_g, max_k, budget=3):
                             )
                     items = set(enum.items)
                     for ell in range(0, r + 1):
-                        dec = hbn.ell_decompose(r, ell)
-                        verdict = strata.balanced_nonempty(
-                            params,
-                            v,
-                            [(dec.e + 1, dec.m1), (dec.e, dec.m2)],
-                            strata.degree_case_for(v),
-                        )
-                        pairs = [(dec.e + 1, dec.m1)] if dec.m1 else []
-                        t = strata.StabilityType(tuple(pairs + [(dec.e, dec.m2)]))
-                        if t in items and verdict.verdict is not strata.Verdict.EMPTY_BY_NECESSITY:
+                        t = strata.balanced_type(r, ell)
+                        verdict = strata.type_verdict(params, v, t)
+                        if t in items and verdict is not strata.Verdict.EMPTY_BY_NECESSITY:
                             return CheckResult(
                                 "strata.nonexistence",
                                 False,
@@ -252,17 +236,8 @@ def check_strata_square_filter(max_g, max_k, budget=3):
                     full = strata.enumerate_types(params, v, r).items
                     kept = set(strata.enumerate_types(params, v, r, square_filtered=True).items)
                     for t in full:
-                        dec_pairs = t.pairs
-                        balanced = (
-                            len(dec_pairs) == 1
-                            or (len(dec_pairs) == 2 and dec_pairs[0][0] == dec_pairs[1][0] + 1)
-                        )
-                        if not balanced:
-                            continue
-                        verdict = strata.balanced_nonempty(params, v, t, strata.degree_case_for(v))
-                        dropped = t not in kept
-                        excluded = verdict.verdict is strata.Verdict.EMPTY_BY_NECESSITY
-                        if dropped != excluded:
+                        verdict = strata.type_verdict(params, v, t)
+                        if (t not in kept) != (verdict is strata.Verdict.EMPTY_BY_NECESSITY):
                             return CheckResult(
                                 "strata.square_filter",
                                 False,
@@ -342,12 +317,8 @@ def check_hbn_splitting_correspondence(max_g, max_k, budget=5):
                         if n_rest >= 1 and deg_rest % n_rest == 0:
                             f_rest = deg_rest // n_rest
                             if f_rest < 0:
-                                pairs = []
-                                if dec.m1:
-                                    pairs.append((dec.e + 1, dec.m1))
-                                pairs.append((dec.e, dec.m2))
-                                pairs.append((f_rest, n_rest))
-                                st = hbn.SplittingType(tuple(pairs))
+                                balanced = strata.balanced_type(r, ell).pairs
+                                st = hbn.SplittingType(balanced + ((f_rest, n_rest),))
                                 nonneg = hbn.splitting_nonneg_part(g, k, d, st)
                                 got = hbn.balanced_correspondence(nonneg.values())
                                 if got != (dec.e, dec.m1, dec.m2):
@@ -485,19 +456,6 @@ CHECKS = {
 }
 
 
-def worker_count() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise DomainError(f"bad {THREADS_ENV}: {env!r}", code="bad_threads") from exc
-        if n < 1:
-            raise DomainError(f"bad {THREADS_ENV}: {env!r}", code="bad_threads")
-        return n
-    return min(4, os.cpu_count() or 1)
-
-
 def _guarded(fn, max_g, max_k) -> CheckResult:
     name = fn.__name__.removeprefix("check_").replace("_", ".", 1)
     try:
@@ -507,13 +465,12 @@ def _guarded(fn, max_g, max_k) -> CheckResult:
 
 
 def run_checks(suite: str, max_g: int, max_k: int) -> list[CheckResult]:
-    """Run one suite (or "all") on a worker pool; canonical name order."""
+    """Run one suite (or "all"), one check after another; canonical name order."""
     if suite == "all":
         selected = [fn for name in SUITES for fn in CHECKS[name]]
     elif suite in CHECKS:
         selected = list(CHECKS[suite])
     else:
         raise DomainError(f"unknown suite {suite!r}", code="unknown_suite")
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        results = list(pool.map(lambda fn: _guarded(fn, max_g, max_k), selected))
+    results = [_guarded(fn, max_g, max_k) for fn in selected]
     return sorted(results, key=lambda res: res.name)

@@ -19,32 +19,26 @@ from k3walls import (
     StabilityParams,
     StabilityPoint,
     SurfaceParams,
-    Verdict,
-    balanced_nonempty,
     build_chain,
     default_epsilon,
     discriminant,
     ell_decompose,
-    ell_value,
     enumerate_types,
     epsilon_threshold,
     gram_signature,
-    lemma_key_scan,
     line_bundle_vector,
     mukai_pairing,
     oracle_check,
     projection,
     rho,
-    rho_k,
     slope,
     square,
-    stratum_dimension,
     verify_chain,
     wall_on_axis,
     wall_sequence,
 )
+from k3walls import verify
 from k3walls.hbn import degeneracy_dims
-from k3walls.strata import StabilityType, degree_case_for
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 # the directory holding the k3walls package, absolute so that child processes
@@ -66,12 +60,6 @@ def criterion(number, label):
         return wrapper
 
     return decorate
-
-
-def balanced_type(r, ell):
-    dec = ell_decompose(r, ell)
-    pairs = ([(dec.e + 1, dec.m1)] if dec.m1 else []) + [(dec.e, dec.m2)]
-    return StabilityType(tuple(pairs))
 
 
 @criterion(1, "tableaux agree with the closed formula")
@@ -100,15 +88,9 @@ def test_criterion_1_tableaux_formula_agreement():
 @criterion(2, "stratum dimension identity")
 def test_criterion_2_stratum_dimension_identity():
     start = time.monotonic()
-    for g in range(3, 31):
-        for k in range(2, 11):
-            params = SurfaceParams(g, k)
-            for d in range(0, g):
-                v = MukaiVector(0, 1, 0, 1 + d - g)
-                for r in range(0, 7):
-                    for ell in range(max(0, r + 1 - k), r + 1):
-                        got = stratum_dimension(params, v, balanced_type(r, ell))
-                        assert got == g + rho(g, r - ell, d) - ell * k, (g, k, d, r, ell)
+    # g <= 30, k <= 10, 0 <= d < g, r <= 6, every ell with a balanced type
+    result = verify.check_strata_dimension_identity(30, 10)
+    assert result.ok, result.detail
     elapsed = time.monotonic() - start
     assert elapsed < 10, f"dimension sweep took {elapsed:.1f}s"
 
@@ -135,27 +117,10 @@ def test_criterion_3_degeneracy_identities():
 
 @criterion(4, "non-existence consistency")
 def test_criterion_4_nonexistence_consistency():
-    for g in range(3, 9):
-        for k in range(2, 6):
-            params = SurfaceParams(g, k)
-            for r in range(0, 4):
-                for d in range(1, g):
-                    value, _ = rho_k(g, k, r, d)
-                    if value >= 0:
-                        continue
-                    v = MukaiVector(0, 1, 0, 1 + d - g)
-                    enum = enumerate_types(params, v, r)
-                    for t in enum.items:
-                        ell = ell_value(t, r)
-                        assert rho(g, r - ell, d) - ell * k < 0, (g, k, r, d, t.to_list())
-                    items = set(enum.items)
-                    for ell in range(0, r + 1):
-                        t = balanced_type(r, ell)
-                        verdict = balanced_nonempty(params, v, t, degree_case_for(v))
-                        assert (
-                            t not in items
-                            or verdict.verdict is Verdict.EMPTY_BY_NECESSITY
-                        ), (g, k, r, d, ell)
+    # g <= 8, k <= 5, 1 <= d < g, r <= 3: wherever rho_k < 0, every type has a
+    # negative count and every enumerated balanced type is empty by necessity
+    result = verify.check_strata_nonexistence(8, 5)
+    assert result.ok, result.detail
 
 
 @criterion(5, "wall arithmetic and monotone sequences")
@@ -201,14 +166,9 @@ def test_criterion_5_wall_arithmetic():
 @criterion(6, "two-value scan finds no counterexample")
 def test_criterion_6_lemma_scan():
     start = time.monotonic()
-    for g in range(3, 9):
-        for k in range(2, 6):
-            params = SurfaceParams(g, k)
-            for m in range(0, 5):
-                eps_m = epsilon_threshold(params, m)
-                for frac in (Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)):
-                    hits = lemma_key_scan(params, m, eps_m * frac, box=12)
-                    assert hits == [], (g, k, m, frac, hits[:3])
+    # g <= 8, k <= 5, m <= 4, eps at 1/2, 3/4 and 9/10 of the threshold, box 12
+    result = verify.check_stability_lemma_key(8, 5)
+    assert result.ok, result.detail
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"scan took {elapsed:.1f}s"
 
@@ -269,8 +229,8 @@ GOLDEN_PLOTS = {
 }
 
 
-def _run(args, cwd, threads):
-    env = dict(os.environ, K3WALLS_THREADS=str(threads))
+def _run(args, cwd):
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "k3walls", *args],
@@ -279,25 +239,19 @@ def _run(args, cwd, threads):
     return proc.stdout
 
 
-@criterion(9, "golden outputs byte-stable across worker counts")
+@criterion(9, "golden outputs byte-identical")
 def test_criterion_9_golden_files(tmp_path):
-    for threads in (1, 2, 8):
-        for name, args in GOLDEN_COMMANDS.items():
-            out = _run(args, tmp_path, threads)
-            assert out == (GOLDEN / name).read_bytes(), f"{name} differs at {threads} threads"
-        for stem, args in GOLDEN_PLOTS.items():
-            workdir = tmp_path / f"{stem}_{threads}"
-            workdir.mkdir()
-            out = _run([*args, "--out", f"{stem}.svg"], workdir, threads)
-            assert out == (GOLDEN / f"{stem}.json").read_bytes()
-            svg = (workdir / f"{stem}.svg").read_bytes()
-            assert svg == (GOLDEN / f"{stem}.svg").read_bytes()
-    # verify is the command that reads K3WALLS_THREADS
-    verify_args = ["verify", "--suite", "all", "--max-g", "5", "--max-k", "3"]
-    outs = [_run(verify_args, tmp_path, threads) for threads in (1, 2, 8)]
-    assert outs[0] == outs[1] == outs[2], "verify output differs across worker counts"
-    assert json.loads(outs[0])["result"]["failed"] == 0
+    for name, args in GOLDEN_COMMANDS.items():
+        out = _run(args, tmp_path)
+        assert out == (GOLDEN / name).read_bytes(), f"{name} differs"
+    for stem, args in GOLDEN_PLOTS.items():
+        out = _run([*args, "--out", f"{stem}.svg"], tmp_path)
+        assert out == (GOLDEN / f"{stem}.json").read_bytes()
+        svg = (tmp_path / f"{stem}.svg").read_bytes()
+        assert svg == (GOLDEN / f"{stem}.svg").read_bytes()
     # sanity on the golden payloads themselves
+    doc = json.loads((GOLDEN / "verify.json").read_text())
+    assert doc["result"]["failed"] == 0
     doc = json.loads((GOLDEN / "rho_k.json").read_text())
     assert doc["result"] == {"rho_k": 1, "argmax_ell": [1]}
     doc = json.loads((GOLDEN / "walls.json").read_text())

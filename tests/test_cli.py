@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from k3walls.cli import main
 
 
@@ -88,8 +90,8 @@ def test_types_command(capsys):
     assert dims["[[0, 2]]"] == 4
     ells = [item["ell"] for item in result["items"]]
     assert ells == [0, 1, 0]
-    assert all(item["verdict"] in ("non_empty", "empty_by_necessity", "unknown")
-               for item in result["items"])
+    verdicts = [item["verdict"] for item in result["items"]]
+    assert verdicts == ["empty_by_necessity", "non_empty", "empty_by_necessity"]
 
 
 def test_chain_command(capsys):
@@ -156,6 +158,32 @@ def test_exit_code_on_domain_error(capsys):
     code, out, _ = run_cli(capsys, "chain", "--g", "4", "--k", "2", "--r", "1", "--d", "3")
     assert code == 1
     assert payload(out)["error"]["code"] == "pencil_too_small"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["tableaux", "--g", "3", "--k", "0", "--r", "1", "--d", "2"], "bad_pencil_degree"),
+        (["tableaux", "--g", "5", "--k", "-2", "--r", "1", "--d", "3"], "bad_pencil_degree"),
+        (["rho-k", "--g", "5", "--k", "0", "--r", "1", "--d", "3"], "bad_pencil_degree"),
+        # the grid and rank checks still come first
+        (["tableaux", "--g", "5", "--k", "0", "--r", "-1", "--d", "3"], "bad_grid"),
+        (["rho-k", "--g", "5", "--k", "0", "--r", "-1", "--d", "3"], "bad_rank"),
+    ],
+)
+def test_exit_code_on_bad_pencil_degree(capsys, argv, error):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert payload(out)["error"]["code"] == error
+
+
+def test_plot_walls_unwritable_out(capsys, tmp_path):
+    code, out, _ = run_cli(
+        capsys, "plot-walls", "--g", "3", "--k", "2", "--v", "0,1,0,-1",
+        "--out", str(tmp_path / "missing" / "x.svg"),
+    )
+    assert code == 1
+    assert payload(out)["error"]["code"] == "bad_output"
 
 
 def test_plot_walls_two_lines(capsys, tmp_path):

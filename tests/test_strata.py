@@ -11,13 +11,13 @@ from k3walls import (
     SurfaceParams,
     Verdict,
     balanced_nonempty,
-    ell_decompose,
+    balanced_type,
     ell_value,
     enumerate_types,
     rho,
-    rho_k,
     square,
     stratum_dimension,
+    type_verdict,
     validate_type,
     wall_sequence,
 )
@@ -29,12 +29,6 @@ V53 = MukaiVector(0, 1, 0, -1)  # genus 5, degree 3
 
 def mk(*pairs):
     return StabilityType(tuple(pairs))
-
-
-def balanced_from(r, ell):
-    dec = ell_decompose(r, ell)
-    pairs = ([(dec.e + 1, dec.m1)] if dec.m1 else []) + [(dec.e, dec.m2)]
-    return mk(*pairs)
 
 
 def test_type_validation():
@@ -92,7 +86,7 @@ def test_stratum_dimension_identity():
                 v = MukaiVector(0, 1, 0, 1 + d - g)
                 for r in range(0, 5):
                     for ell in range(max(0, r + 1 - k), r + 1):
-                        t = balanced_from(r, ell)
+                        t = balanced_type(r, ell)
                         assert stratum_dimension(params, v, t) == g + rho(g, r - ell, d) - ell * k
 
 
@@ -147,36 +141,26 @@ def test_balanced_nonempty_errors():
         balanced_nonempty(P52, MukaiVector(1, 1, 0, 0), [(1, 0), (0, 1)])
 
 
-def test_verdict_matches_square_filter():
-    for g in range(3, 9):
-        for k in range(2, 5):
-            params = SurfaceParams(g, k)
-            for d in range(1, g):
-                v = MukaiVector(0, 1, 0, 1 + d - g)
-                for r in range(0, 4):
-                    kept = set(enumerate_types(params, v, r, square_filtered=True).items)
-                    for t in enumerate_types(params, v, r).items:
-                        if len(t.pairs) > 2 or (
-                            len(t.pairs) == 2 and t.pairs[0][0] != t.pairs[1][0] + 1
-                        ):
-                            continue
-                        res = balanced_nonempty(params, v, t, degree_case_for(v))
-                        assert (t not in kept) == (res.verdict is Verdict.EMPTY_BY_NECESSITY)
+@pytest.mark.parametrize(
+    "params, v, t, expected",
+    [
+        (P52, V53, mk((1, 1)), Verdict.NON_EMPTY),
+        (P52, MukaiVector(1, 1, 0, -1), mk((0, 1)), Verdict.UNKNOWN),  # balanced, v.r > 0
+        (P52, MukaiVector(0, 1, 0, 1), mk((0, 1)), Verdict.UNKNOWN),  # ch2 > 0
+        (P52, MukaiVector(-1, 1, 0, -1), mk((0, 1)), Verdict.UNKNOWN),  # ch2 = 0, v.r < 0
+        (SurfaceParams(10, 3), MukaiVector(0, 1, 0, 0), mk((0, 2)), Verdict.NON_EMPTY),
+        (SurfaceParams(10, 3), MukaiVector(0, 1, 0, 0), mk((0, 3)), Verdict.UNKNOWN),
+        (P52, V53, mk((2, 1), (0, 1)), Verdict.EMPTY_BY_NECESSITY),  # unbalanced, square -12
+        (SurfaceParams(20, 2), V53, mk((2, 1), (0, 1)), Verdict.UNKNOWN),  # unbalanced, square 18
+    ],
+)
+def test_type_verdict_cases(params, v, t, expected):
+    assert type_verdict(params, v, t) is expected
 
 
-def test_nonexistence_propagation():
-    for g in range(3, 9):
-        for k in range(2, 6):
-            params = SurfaceParams(g, k)
-            for d in range(1, g):
-                for r in range(0, 4):
-                    value, _ = rho_k(g, k, r, d)
-                    if value >= 0:
-                        continue
-                    v = MukaiVector(0, 1, 0, 1 + d - g)
-                    for t in enumerate_types(params, v, r).items:
-                        ell = ell_value(t, r)
-                        assert rho(g, r - ell, d) - ell * k < 0
+def test_balanced_type_examples():
+    assert balanced_type(7, 5) == mk((2, 2), (1, 1))  # e = 1, m1 = 2, m2 = 1
+    assert balanced_type(3, 0) == mk((0, 4))  # m1 = 0 leaves one pair
 
 
 def test_wall_sequence_examples():
