@@ -258,22 +258,23 @@ def balanced_nonempty(
 def type_verdict(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> Verdict:
     """The emptiness verdict of any type of v.
 
-    A residual square below -2 forces emptiness.  Otherwise only a balanced
-    type with v of shape (r0 <= 0, H - a0*E, s0 + r0) in one of the two degree
-    cases gets a decision; everything else is unknown.
+    A balanced type of a vector of shape (r0 <= 0, H - a0*E, s0 + r0) in one
+    of the two degree cases gets the verdict of balanced_nonempty.  Any other
+    type is empty by necessity when its residual square is below -2, which is
+    the square balanced_nonempty tests too, and unknown otherwise.
     """
-    if square(params, residual_vector(params, v, t)) < -2:
-        return Verdict.EMPTY_BY_NECESSITY
     case = degree_case_for(v)
     if (
-        _balanced_data(t) is None
-        or v.r > 0
-        or v.x != 1
-        or v.y > 0
-        or (v.ch2 >= 0 and case is DegreeCase.GENERIC)
+        _balanced_data(t) is not None
+        and v.r <= 0
+        and v.x == 1
+        and v.y <= 0
+        and (v.ch2 < 0 or case is DegreeCase.GENUS_MINUS_ONE)
     ):
-        return Verdict.UNKNOWN
-    return balanced_nonempty(params, v, t, case).verdict
+        return balanced_nonempty(params, v, t, case).verdict
+    if square(params, residual_vector(params, v, t)) < -2:
+        return Verdict.EMPTY_BY_NECESSITY
+    return Verdict.UNKNOWN
 
 
 def wall_sequence(sp: StabilityParams, v: MukaiVector, t: StabilityType) -> list[WallPoint]:

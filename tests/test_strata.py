@@ -144,12 +144,10 @@ def test_balanced_nonempty_errors():
 @pytest.mark.parametrize(
     "params, v, t, expected",
     [
-        (P52, V53, mk((1, 1)), Verdict.NON_EMPTY),
         (P52, MukaiVector(1, 1, 0, -1), mk((0, 1)), Verdict.UNKNOWN),  # balanced, v.r > 0
         (P52, MukaiVector(0, 1, 0, 1), mk((0, 1)), Verdict.UNKNOWN),  # ch2 > 0
         (P52, MukaiVector(-1, 1, 0, -1), mk((0, 1)), Verdict.UNKNOWN),  # ch2 = 0, v.r < 0
-        (SurfaceParams(10, 3), MukaiVector(0, 1, 0, 0), mk((0, 2)), Verdict.NON_EMPTY),
-        (SurfaceParams(10, 3), MukaiVector(0, 1, 0, 0), mk((0, 3)), Verdict.UNKNOWN),
+        (SurfaceParams(10, 3), MukaiVector(0, 1, 0, 0), mk((0, 2)), Verdict.NON_EMPTY),  # genus - 1
         (P52, V53, mk((2, 1), (0, 1)), Verdict.EMPTY_BY_NECESSITY),  # unbalanced, square -12
         (SurfaceParams(20, 2), V53, mk((2, 1), (0, 1)), Verdict.UNKNOWN),  # unbalanced, square 18
     ],
