@@ -47,7 +47,6 @@ from .stability import (
     wall_on_axis,
 )
 from .strata import (
-    DegreeCase,
     NonemptinessVerdict,
     StabilityType,
     TypeEnumeration,

@@ -124,23 +124,6 @@ class SplittingType:
         return [[f, n] for f, n in self.pairs]
 
 
-def splitting_to_json(g: int, k: int, d: int, st: SplittingType) -> dict:
-    """Wire format: the [[f, n], ...] pairs with their declared context."""
-    return {"context": {"g": g, "k": k, "d": d}, "pairs": st.to_list()}
-
-
-def splitting_from_json(payload: dict) -> tuple[int, int, int, SplittingType]:
-    try:
-        ctx = payload["context"]
-        g, k, d = int(ctx["g"]), int(ctx["k"]), int(ctx["d"])
-        st = SplittingType(tuple((int(f), int(n)) for f, n in payload["pairs"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, DomainError):
-            raise
-        raise DomainError(f"malformed splitting payload: {payload!r}", code="bad_splitting") from exc
-    return g, k, d, st
-
-
 def splitting_nonneg_part(g: int, k: int, d: int, st: SplittingType) -> SplittingType:
     """Validate a splitting type against (g, k, d) and return its f >= 0 part."""
     if d > g - 1:

@@ -176,35 +176,27 @@ class Verdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
-class DegreeCase(enum.Enum):
-    GENERIC = "generic"
-    GENUS_MINUS_ONE = "genus_minus_one"
-
-
-def degree_case_for(v: MukaiVector) -> DegreeCase:
-    """The non-emptiness regime a vector falls in: ch2 = 0 at rank 0 is special."""
-    if v.r == 0 and v.ch2 == 0:
-        return DegreeCase.GENUS_MINUS_ONE
-    return DegreeCase.GENERIC
-
-
 @dataclass(frozen=True)
 class NonemptinessVerdict:
     verdict: Verdict
     square: int
 
 
-def _balanced_data(t) -> tuple[int, int, int] | None:
-    """Normalize balanced input to (e, m1, m2), m1 = 0 allowed; None if not balanced."""
-    pairs = t.pairs if isinstance(t, StabilityType) else tuple(tuple(p) for p in t)
-    if len(pairs) == 1:
-        (e, m2), m1 = pairs[0], 0
-        if e >= 0 and m2 > 0:
-            return e, m1, m2
-    elif len(pairs) == 2:
-        (e1, m1), (e2, m2) = pairs
-        if e1 == e2 + 1 and e2 >= 0 and m1 >= 0 and m2 > 0:
-            return e2, m1, m2
+def _balanced_case(v: MukaiVector, t: StabilityType) -> tuple[int, int, int] | None:
+    """The data (e, m1, m2) when balanced_nonempty decides t for v; None otherwise.
+
+    It decides a balanced type {(e+1, m1), (e, m2)}, m1 = 0 allowed, of a
+    vector of shape (r0 <= 0, H - a0*E, s0 + r0) in one of two degree cases:
+    generic (ch2 < 0) or genus minus one (rank 0 and ch2 = 0).
+    """
+    if v.r > 0 or v.x != 1 or v.y > 0 or not (v.ch2 < 0 or v.r == v.ch2 == 0):
+        return None
+    if t.p == 1:
+        e, m2 = t.pairs[0]
+        return e, 0, m2
+    if t.p == 2 and t.pairs[0][0] == t.pairs[1][0] + 1:
+        (_, m1), (e, m2) = t.pairs
+        return e, m1, m2
     return None
 
 
@@ -215,10 +207,7 @@ def balanced_type(r: int, ell: int) -> StabilityType:
 
 
 def balanced_nonempty(
-    params: SurfaceParams,
-    v: MukaiVector,
-    t,
-    degree_case: DegreeCase = DegreeCase.GENERIC,
+    params: SurfaceParams, v: MukaiVector, t: StabilityType
 ) -> NonemptinessVerdict:
     """Decide non-emptiness for a balanced type {(e+1, m1), (e, m2)}.
 
@@ -227,29 +216,18 @@ def balanced_nonempty(
     in the genus-minus-one case).  A square below -2 forces emptiness.  When
     only the multiplicity bound fails the answer is genuinely unknown.
     """
-    data = _balanced_data(t)
+    data = _balanced_case(v, t)
     if data is None:
-        raise DomainError("non-balanced type", code="not_balanced")
+        raise DomainError(f"no balanced verdict for type {t.to_list()} of {v}", code="not_balanced")
     e, m1, m2 = data
-    _check_special_shape(v)
-    if v.r > 0:
-        raise DomainError(f"expected rank <= 0, got {v}", code="bad_vector_shape")
-    if degree_case is DegreeCase.GENERIC:
-        if v.ch2 >= 0:
-            raise DomainError(f"generic case needs ch2 < 0, got {v}", code="bad_vector_shape")
-    else:
-        if v.r != 0 or v.ch2 != 0:
-            raise DomainError(
-                f"genus-minus-one case needs rank 0 and ch2 = 0, got {v}", code="bad_vector_shape"
-            )
     v2 = v - m1 * line_bundle_vector(e + 1) - m2 * line_bundle_vector(e)
     sq = square(params, v2)
     if sq < -2:
         return NonemptinessVerdict(Verdict.EMPTY_BY_NECESSITY, sq)
-    if degree_case is DegreeCase.GENERIC:
-        sufficient = m1 + m2 <= params.k + v.r
-    else:
+    if v.ch2 == 0:  # genus minus one
         sufficient = m1 + m2 < params.k
+    else:
+        sufficient = m1 + m2 <= params.k + v.r
     if sufficient:
         return NonemptinessVerdict(Verdict.NON_EMPTY, sq)
     return NonemptinessVerdict(Verdict.UNKNOWN, sq)
@@ -258,20 +236,12 @@ def balanced_nonempty(
 def type_verdict(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> Verdict:
     """The emptiness verdict of any type of v.
 
-    A balanced type of a vector of shape (r0 <= 0, H - a0*E, s0 + r0) in one
-    of the two degree cases gets the verdict of balanced_nonempty.  Any other
-    type is empty by necessity when its residual square is below -2, which is
-    the square balanced_nonempty tests too, and unknown otherwise.
+    A type that balanced_nonempty decides gets its verdict.  Any other type
+    is empty by necessity when its residual square is below -2, which is the
+    square balanced_nonempty tests too, and unknown otherwise.
     """
-    case = degree_case_for(v)
-    if (
-        _balanced_data(t) is not None
-        and v.r <= 0
-        and v.x == 1
-        and v.y <= 0
-        and (v.ch2 < 0 or case is DegreeCase.GENUS_MINUS_ONE)
-    ):
-        return balanced_nonempty(params, v, t, case).verdict
+    if _balanced_case(v, t) is not None:
+        return balanced_nonempty(params, v, t).verdict
     if square(params, residual_vector(params, v, t)) < -2:
         return Verdict.EMPTY_BY_NECESSITY
     return Verdict.UNKNOWN

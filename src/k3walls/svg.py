@@ -19,8 +19,6 @@ from .stability import StabilityParams, WallPoint, projection
 WIDTH = 640
 HEIGHT = 480
 
-DEFAULT_VIEWPORT = (Fraction(-1), Fraction(1), Fraction(-1, 5), Fraction(1))
-
 
 def fmt12(value) -> str:
     """Render a rational at 12 significant decimal digits."""
@@ -98,7 +96,7 @@ def render_wall_diagram(
     sp: StabilityParams,
     v: MukaiVector,
     walls: list[WallPoint],
-    viewport=DEFAULT_VIEWPORT,
+    viewport,
 ) -> tuple[str, list[str]]:
     """Build the SVG document; returns (svg_text, warnings)."""
     canvas = _Canvas(viewport)

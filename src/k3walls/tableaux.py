@@ -31,9 +31,6 @@ class Tableau:
     def cols(self) -> int:
         return len(self.grid[0]) if self.grid else 0
 
-    def labels(self) -> set[int]:
-        return {v for row in self.grid for v in row}
-
     def to_list(self) -> list[list[int]]:
         return [list(row) for row in self.grid]
 
@@ -95,6 +92,8 @@ def max_omitted(g: int, k: int, r: int, d: int, budget: Optional[int] = None) ->
     """
     rows, cols = _grid_shape(g, r, d)
     check_pencil_degree(k)
+    if budget is not None and budget < 0:
+        raise DomainError(f"budget must be >= 0, got {budget}", code="bad_budget")
     total = rows * cols
     grid = [[0] * cols for _ in range(rows)]
     residue: dict[int, int] = {}

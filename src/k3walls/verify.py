@@ -1,9 +1,11 @@
 """Property suites behind the ``verify`` subcommand.
 
-Each check is a pure function of its ranges and a fixed seed.  Checks are
-grouped by the module whose invariants they exercise; ``run_checks`` runs a
-set of suites one check after another and returns results in canonical name
-order.
+Each check is a pure function of its ranges and a fixed seed: it returns
+its pass detail and raises ``CheckFailed`` on a counterexample.  A check
+``check_<suite>_<rest>`` reports under the name ``<suite>.<rest>``.  Checks
+are grouped by the module whose invariants they exercise; ``run_checks``
+runs a set of suites one check after another and returns results in
+canonical name order.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ class CheckResult:
     name: str
     ok: bool
     detail: str
+
+
+class CheckFailed(Exception):
+    """A check found a counterexample; the message is the failure detail."""
 
 
 def _surfaces(max_g, max_k):
@@ -46,12 +52,12 @@ def check_lattice_bilinearity(max_g, max_k, budget=300):
             u, v, w = (_random_vector(rng, 10**6) for _ in range(3))
             a, b = rng.randint(-50, 50), rng.randint(-50, 50)
             if lattice.mukai_pairing(params, u, v) != lattice.mukai_pairing(params, v, u):
-                return CheckResult("lattice.bilinearity", False, f"symmetry fails at {u}, {v}")
+                raise CheckFailed(f"symmetry fails at {u}, {v}")
             left = lattice.mukai_pairing(params, a * u + b * v, w)
             right = a * lattice.mukai_pairing(params, u, w) + b * lattice.mukai_pairing(params, v, w)
             if left != right:
-                return CheckResult("lattice.bilinearity", False, f"linearity fails at {u}, {v}, {w}")
-    return CheckResult("lattice.bilinearity", True, "random symmetric bilinearity")
+                raise CheckFailed(f"linearity fails at {u}, {v}, {w}")
+    return "random symmetric bilinearity"
 
 
 def check_lattice_discriminant(max_g, max_k, budget=500):
@@ -60,15 +66,15 @@ def check_lattice_discriminant(max_g, max_k, budget=500):
         for _ in range(budget // 10):
             v = _random_vector(rng, 10**6)
             if lattice.discriminant(params, v) != lattice.square(params, v) + 2 * v.r * v.r:
-                return CheckResult("lattice.discriminant", False, f"identity fails at {v}")
-    return CheckResult("lattice.discriminant", True, "discriminant matches pairing plus 2r^2")
+                raise CheckFailed(f"identity fails at {v}")
+    return "discriminant matches pairing plus 2r^2"
 
 
 def check_lattice_signature(max_g, max_k, budget=None):
     for params in _surfaces(max_g, max_k):
         if lattice.gram_signature(params) != (2, 2):
-            return CheckResult("lattice.signature", False, f"signature off at {params}")
-    return CheckResult("lattice.signature", True, "Gram signature (2,2) on the whole grid")
+            raise CheckFailed(f"signature off at {params}")
+    return "Gram signature (2,2) on the whole grid"
 
 
 def check_lattice_pencil_spherical(max_g, max_k, budget=100):
@@ -76,8 +82,8 @@ def check_lattice_pencil_spherical(max_g, max_k, budget=100):
         for e in range(budget + 1):
             u = lattice.line_bundle_vector(e)
             if lattice.square(params, u) != -2:
-                return CheckResult("lattice.pencil_spherical", False, f"square off at e={e}")
-    return CheckResult("lattice.pencil_spherical", True, "pencil powers are spherical")
+                raise CheckFailed(f"square off at e={e}")
+    return "pencil powers are spherical"
 
 
 # -------------------------------------------------------------- stability
@@ -91,8 +97,8 @@ def check_stability_slope_scaling(max_g, max_k, budget=200):
             pt = stability.StabilityPoint(Fraction(rng.randint(-3, 3), 7), Fraction(rng.randint(0, 9), 5))
             n = rng.randint(1, 9)
             if stability.slope(sp, pt, v) != stability.slope(sp, pt, n * v):
-                return CheckResult("stability.slope_scaling", False, f"scaling fails at {v}, n={n}")
-    return CheckResult("stability.slope_scaling", True, "slope invariant under positive scaling")
+                raise CheckFailed(f"scaling fails at {v}, n={n}")
+    return "slope invariant under positive scaling"
 
 
 def check_stability_rank_zero_slope(max_g, max_k, budget=200):
@@ -109,8 +115,8 @@ def check_stability_rank_zero_slope(max_g, max_k, budget=200):
                 pt = stability.StabilityPoint(Fraction(rng.randint(-4, 4), 5), Fraction(rng.randint(0, 12), 7))
                 re, im2 = stability.central_charge(sp, pt, v)
                 if stability.slope(sp, pt, v) != expected or -re != expected * im2:
-                    return CheckResult("stability.rank_zero_slope", False, f"slope off at {v}")
-    return CheckResult("stability.rank_zero_slope", True, "rank-0 slopes are point-independent")
+                    raise CheckFailed(f"slope off at {v}")
+    return "rank-0 slopes are point-independent"
 
 
 def check_stability_wall_monotone(max_g, max_k, budget=None):
@@ -120,10 +126,8 @@ def check_stability_wall_monotone(max_g, max_k, budget=None):
             sp = stability.StabilityParams(params, stability.default_epsilon(params, v) / 2)
             ws = [stability.wall_on_axis(sp, v, lattice.line_bundle_vector(e)).w for e in range(1, 7)]
             if any(a >= b for a, b in zip(ws, ws[1:])):
-                return CheckResult(
-                    "stability.wall_monotone", False, f"walls not increasing in e at {params}, s={s}"
-                )
-    return CheckResult("stability.wall_monotone", True, "pencil walls increase with e")
+                raise CheckFailed(f"walls not increasing in e at {params}, s={s}")
+    return "pencil walls increase with e"
 
 
 def check_stability_lemma_key(max_g, max_k, budget=12):
@@ -134,12 +138,10 @@ def check_stability_lemma_key(max_g, max_k, budget=12):
             for frac in fractions:
                 hits = stability.lemma_key_scan(params, m, eps_m * frac, box=budget)
                 if hits:
-                    return CheckResult(
-                        "stability.lemma_key",
-                        False,
-                        f"violations {hits[:3]} at {params}, m={m}, eps={eps_m * frac}",
+                    raise CheckFailed(
+                        f"violations {hits[:3]} at {params}, m={m}, eps={eps_m * frac}"
                     )
-    return CheckResult("stability.lemma_key", True, "no two-value violations in the scan box")
+    return "no two-value violations in the scan box"
 
 
 # ----------------------------------------------------------------- strata
@@ -150,9 +152,8 @@ def _vector_for(g, d):
 
 def check_strata_dimension_identity(max_g, max_k, budget=6):
     for g in range(3, max_g + 1):
-        params_cache = {}
         for k in range(2, max_k + 1):
-            params = params_cache.setdefault(k, lattice.SurfaceParams(g, k))
+            params = lattice.SurfaceParams(g, k)
             for d in range(0, g):
                 v = _vector_for(g, d)
                 for r in range(0, budget + 1):
@@ -160,12 +161,10 @@ def check_strata_dimension_identity(max_g, max_k, budget=6):
                         got = strata.stratum_dimension(params, v, strata.balanced_type(r, ell))
                         want = g + hbn.rho(g, r - ell, d) - ell * k
                         if got != want:
-                            return CheckResult(
-                                "strata.dimension_identity",
-                                False,
-                                f"{got} != {want} at (g,k,d,r,ell)=({g},{k},{d},{r},{ell})",
+                            raise CheckFailed(
+                                f"{got} != {want} at (g,k,d,r,ell)=({g},{k},{d},{r},{ell})"
                             )
-    return CheckResult("strata.dimension_identity", True, "balanced dimension identity exact")
+    return "balanced dimension identity exact"
 
 
 def check_strata_dimension_bounds(max_g, max_k, budget=4):
@@ -180,18 +179,14 @@ def check_strata_dimension_bounds(max_g, max_k, budget=4):
                         bound = g + hbn.rho(g, r - ell, d) - ell * k
                         dim = strata.stratum_dimension(params, v, t)
                         if dim > bound:
-                            return CheckResult(
-                                "strata.dimension_bounds",
-                                False,
-                                f"dim {dim} > bound {bound} for {t.to_list()} at ({g},{k},{d},{r})",
+                            raise CheckFailed(
+                                f"dim {dim} > bound {bound} for {t.to_list()} at ({g},{k},{d},{r})"
                             )
                         if t.weighted_sections() == r + 1 and dim != bound:
-                            return CheckResult(
-                                "strata.dimension_bounds",
-                                False,
-                                f"saturated type misses bound for {t.to_list()} at ({g},{k},{d},{r})",
+                            raise CheckFailed(
+                                f"saturated type misses bound for {t.to_list()} at ({g},{k},{d},{r})"
                             )
-    return CheckResult("strata.dimension_bounds", True, "upper bound and saturated equality hold")
+    return "upper bound and saturated equality hold"
 
 
 def check_strata_nonexistence(max_g, max_k, budget=3):
@@ -208,22 +203,18 @@ def check_strata_nonexistence(max_g, max_k, budget=3):
                     for t in enum.items:
                         ell = strata.ell_value(t, r)
                         if hbn.rho(g, r - ell, d) - ell * k >= 0:
-                            return CheckResult(
-                                "strata.nonexistence",
-                                False,
-                                f"type {t.to_list()} has nonneg count at ({g},{k},{d},{r})",
+                            raise CheckFailed(
+                                f"type {t.to_list()} has nonneg count at ({g},{k},{d},{r})"
                             )
                     items = set(enum.items)
                     for ell in range(0, r + 1):
                         t = strata.balanced_type(r, ell)
                         verdict = strata.type_verdict(params, v, t)
                         if t in items and verdict is not strata.Verdict.EMPTY_BY_NECESSITY:
-                            return CheckResult(
-                                "strata.nonexistence",
-                                False,
-                                f"enumerated balanced type {t.to_list()} not excluded at ({g},{k},{d},{r})",
+                            raise CheckFailed(
+                                f"enumerated balanced type {t.to_list()} not excluded at ({g},{k},{d},{r})"
                             )
-    return CheckResult("strata.nonexistence", True, "negative rho_k excludes every type")
+    return "negative rho_k excludes every type"
 
 
 def check_strata_square_filter(max_g, max_k, budget=3):
@@ -238,12 +229,10 @@ def check_strata_square_filter(max_g, max_k, budget=3):
                     for t in full:
                         verdict = strata.type_verdict(params, v, t)
                         if (t not in kept) != (verdict is strata.Verdict.EMPTY_BY_NECESSITY):
-                            return CheckResult(
-                                "strata.square_filter",
-                                False,
-                                f"filter/verdict mismatch for {t.to_list()} at ({g},{k},{d},{r})",
+                            raise CheckFailed(
+                                f"filter/verdict mismatch for {t.to_list()} at ({g},{k},{d},{r})"
                             )
-    return CheckResult("strata.square_filter", True, "square filter matches emptiness verdicts")
+    return "square filter matches emptiness verdicts"
 
 
 # -------------------------------------------------------------------- hbn
@@ -256,10 +245,8 @@ def check_hbn_rho_k_dominates(max_g, max_k, budget=6):
                     value, argmax = hbn.rho_k(g, k, r, d)
                     base = hbn.rho(g, r, d)
                     if value < base or ((value == base) != (0 in argmax)):
-                        return CheckResult(
-                            "hbn.rho_k_dominates", False, f"fails at ({g},{k},{r},{d})"
-                        )
-    return CheckResult("hbn.rho_k_dominates", True, "rho_k dominates rho; equality iff ell=0 wins")
+                        raise CheckFailed(f"fails at ({g},{k},{r},{d})")
+    return "rho_k dominates rho; equality iff ell=0 wins"
 
 
 def check_hbn_rho_k_monotone(max_g, max_k, budget=7):
@@ -268,8 +255,8 @@ def check_hbn_rho_k_monotone(max_g, max_k, budget=7):
             for d in range(0, g):
                 values = [hbn.rho_k(g, k, r, d)[0] for r in range(0, budget + 1)]
                 if any(a < b for a, b in zip(values, values[1:])):
-                    return CheckResult("hbn.rho_k_monotone", False, f"fails at ({g},{k},{d})")
-    return CheckResult("hbn.rho_k_monotone", True, "rho_k non-increasing in r")
+                    raise CheckFailed(f"fails at ({g},{k},{d})")
+    return "rho_k non-increasing in r"
 
 
 def check_hbn_ell_round_trip(max_g, max_k, budget=40):
@@ -277,14 +264,14 @@ def check_hbn_ell_round_trip(max_g, max_k, budget=40):
         for ell in range(0, r + 1):
             dec = hbn.ell_decompose(r, ell)
             if dec.m1 < 0 or dec.m2 <= 0 or dec.m1 > r - ell:
-                return CheckResult("hbn.ell_round_trip", False, f"bad split at (r,ell)=({r},{ell})")
+                raise CheckFailed(f"bad split at (r,ell)=({r},{ell})")
             if dec.m1 * (dec.e + 2) + dec.m2 * (dec.e + 1) != r + 1:
-                return CheckResult("hbn.ell_round_trip", False, f"rank off at (r,ell)=({r},{ell})")
+                raise CheckFailed(f"rank off at (r,ell)=({r},{ell})")
             if dec.e * (r + 1 - ell) + dec.m1 != ell:
-                return CheckResult("hbn.ell_round_trip", False, f"index off at (r,ell)=({r},{ell})")
+                raise CheckFailed(f"index off at (r,ell)=({r},{ell})")
             if (r + 1) - (dec.m1 + dec.m2) != ell:
-                return CheckResult("hbn.ell_round_trip", False, f"round trip off at ({r},{ell})")
-    return CheckResult("hbn.ell_round_trip", True, "ell decomposition round-trips")
+                raise CheckFailed(f"round trip off at ({r},{ell})")
+    return "ell decomposition round-trips"
 
 
 def check_hbn_degeneracy_identity(max_g, max_k, budget=6):
@@ -293,8 +280,18 @@ def check_hbn_degeneracy_identity(max_g, max_k, budget=6):
             for d in range(0, g):
                 for r in range(0, budget + 1):
                     for ell in range(max(0, r + 2 - k), r + 1):
-                        hbn.degeneracy_dims(g, k, d, r, ell)  # raises on mismatch
-    return CheckResult("hbn.degeneracy_identity", True, "degeneracy dimensions match closed form")
+                        dims = hbn.degeneracy_dims(g, k, d, r, ell)  # raises on mismatch
+                        count = hbn.rho(g, r - ell, d) - ell * k
+                        if dims.expected_dim != count:
+                            raise CheckFailed(f"dimension off at ({g},{k},{d},{r},{ell})")
+                        # the reduction to rank m1 - 1 and degree d - (e+1)k
+                        dec = hbn.ell_decompose(r, ell)
+                        e, m1 = dec.e, dec.m1
+                        lhs = hbn.rho(g, m1 - 1, d - (e + 1) * k)
+                        correction = (r - ell - m1 + 1) * (g + e * k - d + r - ell + m1)
+                        if lhs != count + correction:
+                            raise CheckFailed(f"reduction off at ({g},{k},{d},{r},{ell})")
+    return "degeneracy dimensions match closed form"
 
 
 def check_hbn_splitting_correspondence(max_g, max_k, budget=5):
@@ -306,11 +303,7 @@ def check_hbn_splitting_correspondence(max_g, max_k, budget=5):
                         dec = hbn.ell_decompose(r, ell)
                         frag = [dec.e + 1] * dec.m1 + [dec.e] * dec.m2
                         if hbn.balanced_correspondence(frag) != (dec.e, dec.m1, dec.m2):
-                            return CheckResult(
-                                "hbn.splitting_correspondence",
-                                False,
-                                f"mismatch at ({g},{k},{d},{r},{ell})",
-                            )
+                            raise CheckFailed(f"mismatch at ({g},{k},{d},{r},{ell})")
                         # full splitting round trip when the negative rest fits one slot
                         n_rest = k - dec.m1 - dec.m2
                         deg_rest = (d + 1 - g - k) - (dec.m1 * (dec.e + 1) + dec.m2 * dec.e)
@@ -322,12 +315,8 @@ def check_hbn_splitting_correspondence(max_g, max_k, budget=5):
                                 nonneg = hbn.splitting_nonneg_part(g, k, d, st)
                                 got = hbn.balanced_correspondence(nonneg.values())
                                 if got != (dec.e, dec.m1, dec.m2):
-                                    return CheckResult(
-                                        "hbn.splitting_correspondence",
-                                        False,
-                                        f"round trip off at ({g},{k},{d},{r},{ell})",
-                                    )
-    return CheckResult("hbn.splitting_correspondence", True, "balanced data matches splitting side")
+                                    raise CheckFailed(f"round trip off at ({g},{k},{d},{r},{ell})")
+    return "balanced data matches splitting side"
 
 
 # ---------------------------------------------------------------- tableaux
@@ -342,10 +331,8 @@ def check_tableaux_pruning(max_g, max_k, budget=9):
                     fast = tableaux.max_omitted(g, k, r, d)
                     slow = tableaux.max_omitted_naive(g, k, r, d)
                     if (fast.feasible, fast.omitted) != (slow.feasible, slow.omitted):
-                        return CheckResult(
-                            "tableaux.pruning", False, f"mismatch at ({g},{k},{r},{d})"
-                        )
-    return CheckResult("tableaux.pruning", True, "pruned search agrees with naive enumeration")
+                        raise CheckFailed(f"mismatch at ({g},{k},{r},{d})")
+    return "pruned search agrees with naive enumeration"
 
 
 def check_tableaux_oracle(max_g, max_k, budget=12):
@@ -357,12 +344,10 @@ def check_tableaux_oracle(max_g, max_k, budget=12):
                         continue
                     report = tableaux.oracle_check(g, k, r, d)  # raises on hard violations
                     if report.rho_k >= 0 and not report.equality:
-                        return CheckResult(
-                            "tableaux.oracle",
-                            False,
-                            f"omitted {report.omitted} != rho_k {report.rho_k} at ({g},{k},{r},{d})",
+                        raise CheckFailed(
+                            f"omitted {report.omitted} != rho_k {report.rho_k} at ({g},{k},{r},{d})"
                         )
-    return CheckResult("tableaux.oracle", True, "tableau maximum equals rho_k when nonnegative")
+    return "tableau maximum equals rho_k when nonnegative"
 
 
 # ------------------------------------------------------------------ chains
@@ -372,16 +357,17 @@ def check_chains_verify(max_g, max_k, budget=None):
         for r in range(0, 5):
             for k in range(r + 2, max(max_k, 2) + 1):
                 for d in range(0, g):
-                    if hbn.rho(g, r, d) < 0:
+                    expected = hbn.rho(g, r, d)
+                    if expected < 0:
                         continue
                     report = chains.verify_chain(chains.build_chain(g, k, r, d))
                     if not report.ok:
-                        return CheckResult(
-                            "chains.verify",
-                            False,
-                            f"failures at ({g},{k},{r},{d}): {report.failures[:2]}",
+                        raise CheckFailed(f"failures at ({g},{k},{r},{d}): {report.failures[:2]}")
+                    if report.total_adjusted != expected:
+                        raise CheckFailed(
+                            f"total {report.total_adjusted} != rho {expected} at ({g},{k},{r},{d})"
                         )
-    return CheckResult("chains.verify", True, "all constructed chains verify")
+    return "all constructed chains verify"
 
 
 def check_chains_telescoping(max_g, max_k, budget=None):
@@ -397,12 +383,10 @@ def check_chains_telescoping(max_g, max_k, budget=None):
                     for a in range(0, min(first, g) - 1):
                         gap = comps[a + 1].alpha_in.weight - comps[a].alpha_in.weight
                         if gap != r:
-                            return CheckResult(
-                                "chains.telescoping",
-                                False,
-                                f"weight gap {gap} != r at ({g},{k},{r},{d}), a={a + 1}",
+                            raise CheckFailed(
+                                f"weight gap {gap} != r at ({g},{k},{r},{d}), a={a + 1}"
                             )
-    return CheckResult("chains.telescoping", True, "incoming weights step by r in the first range")
+    return "incoming weights step by r in the first range"
 
 
 def check_chains_complement(max_g, max_k, budget=300):
@@ -414,8 +398,8 @@ def check_chains_complement(max_g, max_k, budget=300):
         seq = chains.RamificationSequence(tuple(alphas))
         twice = chains.complement(r, d, chains.complement(r, d, seq))
         if twice != seq:
-            return CheckResult("chains.complement", False, f"involution fails at r={r}, d={d}")
-    return CheckResult("chains.complement", True, "complement is an involution")
+            raise CheckFailed(f"involution fails at r={r}, d={d}")
+    return "complement is an involution"
 
 
 CHECKS = {
@@ -459,7 +443,9 @@ CHECKS = {
 def _guarded(fn, max_g, max_k) -> CheckResult:
     name = fn.__name__.removeprefix("check_").replace("_", ".", 1)
     try:
-        return fn(max_g, max_k)
+        return CheckResult(name, True, fn(max_g, max_k))
+    except CheckFailed as exc:
+        return CheckResult(name, False, str(exc))
     except Exception as exc:  # a raising check is a failing check, not a crash
         return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from k3walls import verify
 from k3walls.cli import main
 
 
@@ -120,17 +121,35 @@ def test_verify_all_full_scale(capsys):
     assert err.count("PASS") >= 22
 
 
-def test_verify_exit_two_on_failure(capsys, monkeypatch):
-    from k3walls import verify
-    from k3walls.verify import CheckResult
+def test_check_names_follow_function_names():
+    # check_<suite>_<rest> reports as <suite>.<rest>
+    assert tuple(verify.CHECKS) == verify.SUITES
+    names = []
+    for suite, fns in verify.CHECKS.items():
+        for fn in fns:
+            assert fn.__name__.startswith(f"check_{suite}_"), fn.__name__
+            names.append(f"{suite}.{fn.__name__.removeprefix(f'check_{suite}_')}")
+    assert len(names) == len(set(names)) == 22
 
-    def check_always_fails(max_g, max_k):
-        return CheckResult("lattice.zzz_injected", False, "deliberate failure")
 
-    monkeypatch.setitem(verify.CHECKS, "lattice", verify.CHECKS["lattice"] + [check_always_fails])
+@pytest.mark.parametrize(
+    "exc, detail",
+    [
+        (verify.CheckFailed("deliberate failure"), "deliberate failure"),
+        (ValueError("deliberate crash"), "raised ValueError: deliberate crash"),
+    ],
+    ids=["check_failed", "value_error"],
+)
+def test_verify_exit_two_on_failure(capsys, monkeypatch, exc, detail):
+    def check_lattice_zzz_injected(max_g, max_k):
+        raise exc
+
+    monkeypatch.setitem(verify.CHECKS, "lattice", verify.CHECKS["lattice"] + [check_lattice_zzz_injected])
     code, out, err = run_cli(capsys, "verify", "--suite", "lattice", "--max-g", "3", "--max-k", "2")
     assert code == 2
-    assert payload(out)["result"]["failed"] == 1
+    result = payload(out)["result"]
+    assert result["failed"] == 1
+    assert {"name": "lattice.zzz_injected", "ok": False, "detail": detail} in result["checks"]
     assert "FAIL lattice.zzz_injected" in err
 
 
@@ -169,6 +188,9 @@ def test_exit_code_on_domain_error(capsys):
         # the grid and rank checks still come first
         (["tableaux", "--g", "5", "--k", "0", "--r", "-1", "--d", "3"], "bad_grid"),
         (["rho-k", "--g", "5", "--k", "0", "--r", "-1", "--d", "3"], "bad_rank"),
+        # a negative node budget is bad input, checked after the pencil degree
+        (["tableaux", "--g", "3", "--k", "2", "--r", "1", "--d", "2", "--budget", "-1"], "bad_budget"),
+        (["tableaux", "--g", "3", "--k", "0", "--r", "1", "--d", "2", "--budget", "-1"], "bad_pencil_degree"),
     ],
 )
 def test_exit_code_on_bad_pencil_degree(capsys, argv, error):

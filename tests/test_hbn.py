@@ -13,7 +13,6 @@ from k3walls import (
     rho_k,
     splitting_nonneg_part,
 )
-from k3walls.hbn import splitting_from_json, splitting_to_json
 
 
 def test_rho_values():
@@ -64,17 +63,6 @@ def test_ell_decompose_examples():
         ell_decompose(3, -1)
 
 
-def test_ell_decompose_round_trip():
-    for r in range(0, 41):
-        for ell in range(0, r + 1):
-            dec = ell_decompose(r, ell)
-            assert 0 <= dec.m1 <= r - ell
-            assert dec.m2 >= 1
-            assert dec.m1 * (dec.e + 2) + dec.m2 * (dec.e + 1) == r + 1
-            assert dec.e * (r + 1 - ell) + dec.m1 == ell
-            assert (r + 1) - (dec.m1 + dec.m2) == ell
-
-
 def test_degeneracy_dims_examples():
     dims = degeneracy_dims(5, 2, 3, 1, 1)
     assert dims.expected_dim == 1
@@ -84,35 +72,6 @@ def test_degeneracy_dims_examples():
         degeneracy_dims(5, 2, 5, 1, 1)  # d > g-1
     with pytest.raises(DomainError):
         degeneracy_dims(5, 2, 3, 1, 2)  # ell > r
-
-
-def test_degeneracy_reduction_identity():
-    # rho(g, m1-1, d-(e+1)k) relates to rho(g, r-ell, d) - ell*k by an explicit
-    # correction term; checked on the same inputs as the dimension formula
-    for g in range(3, 12):
-        for k in range(2, 6):
-            for d in range(0, g):
-                for r in range(0, 5):
-                    for ell in range(max(0, r + 2 - k), r + 1):
-                        dec = ell_decompose(r, ell)
-                        e, m1 = dec.e, dec.m1
-                        lhs = rho(g, m1 - 1, d - (e + 1) * k)
-                        rhs = (
-                            rho(g, r - ell, d)
-                            - ell * k
-                            + (r - ell - m1 + 1) * (g + e * k - d + r - ell + m1)
-                        )
-                        assert lhs == rhs
-
-
-def test_degeneracy_identity_exhaustive():
-    # degeneracy_dims raises internally if its two dimension computations split
-    for g in range(3, 41):
-        for k in range(2, 13):
-            for d in range(0, g):
-                for r in range(0, 7):
-                    for ell in range(max(0, r + 2 - k), r + 1):
-                        degeneracy_dims(g, k, d, r, ell)
 
 
 def test_pencil_power_h0():
@@ -150,25 +109,3 @@ def test_balanced_correspondence():
         balanced_correspondence((3, 1))
     with pytest.raises(DomainError, match="not balanced"):
         balanced_correspondence(())
-
-
-def test_balanced_correspondence_round_trip():
-    # the nonneg part built from the balanced data reads back to the same data
-    for g in range(3, 10):
-        for k in range(2, 6):
-            for d in range(1, g):
-                for r in range(0, 5):
-                    for ell in range(max(0, r + 2 - k), r + 1):
-                        dec = ell_decompose(r, ell)
-                        frag = [dec.e + 1] * dec.m1 + [dec.e] * dec.m2
-                        assert balanced_correspondence(frag) == (dec.e, dec.m1, dec.m2)
-
-
-def test_splitting_json_round_trip():
-    st = SplittingType(((1, 1), (-4, 1)))
-    payload = splitting_to_json(5, 2, 3, st)
-    assert payload == {"context": {"g": 5, "k": 2, "d": 3}, "pairs": [[1, 1], [-4, 1]]}
-    g, k, d, back = splitting_from_json(payload)
-    assert (g, k, d, back) == (5, 2, 3, st)
-    with pytest.raises(DomainError):
-        splitting_from_json({"pairs": [[1, 1]]})

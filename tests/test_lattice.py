@@ -9,7 +9,6 @@ from k3walls import (
     SurfaceParams,
     chi,
     discriminant,
-    gram_signature,
     intersection,
     line_bundle_vector,
     mukai_pairing,
@@ -87,18 +86,6 @@ def test_line_bundle_vector():
     assert line_bundle_vector(3) == MukaiVector(1, 0, 3, 1)
     with pytest.raises(DomainError):
         line_bundle_vector(-1)
-
-
-def test_line_bundles_spherical():
-    for e in range(101):
-        assert square(P32, line_bundle_vector(e)) == -2
-        assert square(P52, line_bundle_vector(e)) == -2
-
-
-def test_gram_signature():
-    for g in range(3, 9):
-        for k in range(2, 6):
-            assert gram_signature(SurfaceParams(g, k)) == (2, 2)
 
 
 def test_vector_json_round_trip():

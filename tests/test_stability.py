@@ -193,12 +193,6 @@ def test_spherical_scan():
         spherical_scan(SP, 0)
 
 
-def test_lemma_key_scan_clean():
-    for m in range(3):
-        eps = epsilon_threshold(P32, m) * Fraction(1, 2)
-        assert lemma_key_scan(P32, m, eps, box=8) == []
-
-
 def test_lemma_key_scan_sees_violations_above_threshold():
     # far above every threshold the two-value statement has no reason to hold
     hits = lemma_key_scan(P32, 4, Fraction(3), box=6)

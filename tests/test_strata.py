@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from k3walls import (
-    DegreeCase,
     DomainError,
     MukaiVector,
     StabilityParams,
@@ -12,16 +11,14 @@ from k3walls import (
     Verdict,
     balanced_nonempty,
     balanced_type,
-    ell_value,
     enumerate_types,
-    rho,
     square,
     stratum_dimension,
     type_verdict,
     validate_type,
     wall_sequence,
 )
-from k3walls.strata import degree_case_for, residual_vector
+from k3walls.strata import residual_vector
 
 P52 = SurfaceParams(5, 2)
 V53 = MukaiVector(0, 1, 0, -1)  # genus 5, degree 3
@@ -78,39 +75,14 @@ def test_stratum_dimension_examples():
     assert stratum_dimension(P52, V53, mk((1, 1), (0, 1))) == 2
 
 
-def test_stratum_dimension_identity():
-    for g in range(3, 12):
-        for k in range(2, 6):
-            params = SurfaceParams(g, k)
-            for d in range(0, g):
-                v = MukaiVector(0, 1, 0, 1 + d - g)
-                for r in range(0, 5):
-                    for ell in range(max(0, r + 1 - k), r + 1):
-                        t = balanced_type(r, ell)
-                        assert stratum_dimension(params, v, t) == g + rho(g, r - ell, d) - ell * k
-
-
-def test_stratum_dimension_general_identity_and_bound():
-    for d in (2, 3, 4):
-        v = MukaiVector(0, 1, 0, 1 + d - 5)
-        for r in range(0, 4):
-            for t in enumerate_types(P52, v, r).items:
-                ell = ell_value(t, r)
-                bound = 5 + rho(5, r - ell, d) - ell * 2
-                dim = stratum_dimension(P52, v, t)
-                assert dim <= bound
-                if t.weighted_sections() == r + 1:
-                    assert dim == bound
-
-
 def test_balanced_nonempty_examples():
-    res = balanced_nonempty(P52, V53, [(2, 0), (1, 1)])
+    res = balanced_nonempty(P52, V53, mk((1, 1)))
     assert res.verdict is Verdict.NON_EMPTY and res.square == 0
-    res = balanced_nonempty(P52, V53, [(3, 0), (2, 1)])
+    res = balanced_nonempty(P52, V53, mk((2, 1)))
     assert res.verdict is Verdict.EMPTY_BY_NECESSITY and res.square == -4
     # square dominates the multiplicity bound: with m1+m2 = 3 > k+r0 = 2 the
     # residual square is -24, so the verdict is still forced emptiness
-    res = balanced_nonempty(P52, V53, [(1, 2), (0, 1)])
+    res = balanced_nonempty(P52, V53, mk((1, 2), (0, 1)))
     assert res.verdict is Verdict.EMPTY_BY_NECESSITY and res.square == -24
 
 
@@ -118,27 +90,28 @@ def test_balanced_nonempty_unknown():
     # square fine, multiplicity bound violated: genuinely undecided
     params = SurfaceParams(20, 2)
     v = MukaiVector(0, 1, 0, -1)  # degree 18
-    res = balanced_nonempty(params, v, [(1, 0), (0, 3)])
+    res = balanced_nonempty(params, v, mk((0, 3)))
     assert res.verdict is Verdict.UNKNOWN
     assert res.square >= -2
 
 
 def test_balanced_nonempty_genus_minus_one():
     params = SurfaceParams(10, 3)
-    v = MukaiVector(0, 1, 0, 0)  # rank 0, ch2 = 0
-    assert degree_case_for(v) is DegreeCase.GENUS_MINUS_ONE
-    res = balanced_nonempty(params, v, [(1, 0), (0, 2)], DegreeCase.GENUS_MINUS_ONE)
+    v = MukaiVector(0, 1, 0, 0)  # rank 0, ch2 = 0: the genus-minus-one case
+    res = balanced_nonempty(params, v, mk((0, 2)))
     assert res.verdict is Verdict.NON_EMPTY  # m1+m2 = 2 < k = 3
-    res = balanced_nonempty(params, v, [(1, 0), (0, 3)], DegreeCase.GENUS_MINUS_ONE)
+    res = balanced_nonempty(params, v, mk((0, 3)))
     assert res.square == 0
     assert res.verdict is Verdict.UNKNOWN  # m1+m2 = 3 is not strictly below k
 
 
 def test_balanced_nonempty_errors():
-    with pytest.raises(DomainError, match="non-balanced"):
-        balanced_nonempty(P52, V53, [(3, 1), (1, 1)])
-    with pytest.raises(DomainError):
-        balanced_nonempty(P52, MukaiVector(1, 1, 0, 0), [(1, 0), (0, 1)])
+    with pytest.raises(DomainError, match="no balanced verdict"):
+        balanced_nonempty(P52, V53, mk((3, 1), (1, 1)))  # levels 3 and 1 are not adjacent
+    with pytest.raises(DomainError, match="no balanced verdict"):
+        balanced_nonempty(P52, MukaiVector(1, 1, 0, 0), mk((0, 1)))  # positive rank
+    with pytest.raises(DomainError, match="no balanced verdict"):
+        balanced_nonempty(P52, MukaiVector(-1, 1, 0, -1), mk((0, 1)))  # ch2 = 0 off rank 0
 
 
 @pytest.mark.parametrize(
