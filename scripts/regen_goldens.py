@@ -23,6 +23,9 @@ CASES = {
     ],
     "tableaux.json": ["tableaux", "--g", "2", "--k", "2", "--r", "1", "--d", "1"],
     "types.json": ["types", "--g", "4", "--k", "2", "--v", "0,1,0,0", "--r", "1"],
+    "types_filtered.json": [
+        "types", "--g", "6", "--k", "2", "--v", "0,1,0,0", "--r", "2", "--square-filter",
+    ],
     "verify.json": ["verify", "--suite", "all", "--max-g", "5", "--max-k", "3"],
 }
 
