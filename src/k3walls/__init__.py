@@ -11,7 +11,6 @@ from .lattice import (
     MukaiVector,
     PicClass,
     SurfaceParams,
-    chi,
     discriminant,
     gram_signature,
     intersection,
@@ -26,7 +25,6 @@ from .hbn import (
     balanced_correspondence,
     degeneracy_dims,
     ell_decompose,
-    pencil_power_h0,
     rho,
     rho_k,
     splitting_nonneg_part,
@@ -43,7 +41,6 @@ from .stability import (
     nowall_threshold,
     projection,
     slope,
-    spherical_scan,
     wall_on_axis,
 )
 from .strata import (
@@ -55,6 +52,7 @@ from .strata import (
     balanced_type,
     ell_value,
     enumerate_types,
+    passes_square_filter,
     residual_vector,
     stratum_dimension,
     type_verdict,

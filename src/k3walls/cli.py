@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from . import chains, hbn, strata, tableaux, verify
 from .errors import DomainError, OracleViolation, SearchBudgetExceeded
 from .jsonio import dumps_canonical, frac_str, parse_frac
-from .lattice import MukaiVector, SurfaceParams, line_bundle_vector
+from .lattice import MukaiVector, SurfaceParams, check_special_shape, line_bundle_vector
 from .stability import StabilityParams, default_epsilon, wall_on_axis
 from .svg import render_wall_diagram
 
@@ -27,7 +28,15 @@ EXIT_VERIFICATION_FAILURE = 2
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """argparse that reports usage problems as domain errors (exit 1)."""
+    """argparse that reports usage problems as domain errors (exit 1).
+
+    A value that starts with a minus sign and a digit, such as -1/2 or
+    -1,1,0,-2, is a value for every option, not only a plain negative number.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message):
         raise DomainError(message, code="bad_usage")
@@ -138,11 +147,12 @@ def _cmd_decompose(args) -> int:
 def _cmd_types(args) -> int:
     params = SurfaceParams(args.g, args.k)
     v = _parse_vector(args.v)
-    enum = strata.enumerate_types(
-        params, v, args.r, refined=args.refined, square_filtered=args.square_filter
-    )
+    check_special_shape(v)
+    enum = strata.enumerate_types(args.r, refined=args.refined)
     items = []
     for t in enum.items:
+        if args.square_filter and not strata.passes_square_filter(params, v, t):
+            continue
         items.append(
             {
                 "type": t.to_list(),
@@ -154,7 +164,7 @@ def _cmd_types(args) -> int:
     result = {
         "r": enum.r,
         "refined": enum.refined,
-        "square_filtered": enum.square_filtered,
+        "square_filtered": args.square_filter,
         "items": items,
     }
     inputs = {"g": args.g, "k": args.k, "v": args.v, "r": args.r,

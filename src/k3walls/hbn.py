@@ -90,13 +90,6 @@ def degeneracy_dims(g: int, k: int, d: int, r: int, ell: int) -> DegeneracyDims:
     return DegeneracyDims(s=s, rk_e=rk_e, rk_f=rk_f, expected_dim=expected)
 
 
-def pencil_power_h0(g: int, k: int, a: int) -> int:
-    """Sections of the a-th power of a degree-k pencil: max(ak+1-g, a+1)."""
-    if a < 0:
-        raise DomainError(f"pencil power must be >= 0, got {a}", code="bad_pencil_power")
-    return max(a * k + 1 - g, a + 1)
-
-
 @dataclass(frozen=True)
 class SplittingType:
     """Multidegree {(f_i, n_i)} of a pushforward to the line, f_1 > ... > f_q."""

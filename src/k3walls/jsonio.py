@@ -1,8 +1,8 @@
 """Deterministic serialization helpers.
 
-Rationals travel as strings "p/q" in lowest terms with positive denominator;
-the infinite slope travels as "inf".  Reports are dumped with sorted keys and
-fixed separators so byte-for-byte golden comparisons are meaningful.
+Rationals travel as strings "p/q" in lowest terms with positive denominator.
+Reports are dumped with sorted keys and fixed separators so byte-for-byte
+golden comparisons are meaningful.
 """
 
 from __future__ import annotations
@@ -11,18 +11,11 @@ import json
 from fractions import Fraction
 
 from .errors import DomainError
-from .stability import INFINITE_SLOPE
 
 
 def frac_str(value) -> str:
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
-
-
-def slope_str(value) -> str:
-    if value == INFINITE_SLOPE:
-        return "inf"
-    return frac_str(value)
 
 
 def parse_frac(text: str) -> Fraction:

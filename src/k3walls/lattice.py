@@ -22,6 +22,15 @@ def check_pencil_degree(k: int) -> None:
         raise DomainError(f"pencil degree must be >= 2, got {k}", code="bad_pencil_degree")
 
 
+def check_special_shape(v: MukaiVector) -> None:
+    """The vectors whose types are studied have shape (r0, H - a0*E, s0 + r0), a0 >= 0."""
+    if v.x != 1 or v.y > 0:
+        raise DomainError(
+            f"expected a vector of shape (r0, H - a0*E, s0 + r0) with a0 >= 0, got {v}",
+            code="bad_vector_shape",
+        )
+
+
 @dataclass(frozen=True)
 class SurfaceParams:
     """The pair (g, k) fixing the lattice: H^2 = 2g-2, E^2 = 0, H.E = k."""
@@ -84,13 +93,6 @@ class MukaiVector:
     def to_dict(self) -> dict:
         return {"r": self.r, "x": self.x, "y": self.y, "s": self.s}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MukaiVector":
-        try:
-            return cls(int(d["r"]), int(d["x"]), int(d["y"]), int(d["s"]))
-        except (KeyError, TypeError) as exc:
-            raise DomainError(f"malformed Mukai vector payload: {d!r}", code="bad_vector") from exc
-
 
 def intersection(params: SurfaceParams, c: PicClass, cp: PicClass) -> int:
     """Intersection product (xH+yE).(x'H+y'E) = xx'(2g-2) + (xy'+x'y)k."""
@@ -110,11 +112,6 @@ def square(params: SurfaceParams, v: MukaiVector) -> int:
 def discriminant(params: SurfaceParams, v: MukaiVector) -> int:
     """Discriminant ch1^2 - 2*ch0*ch2; equals <v,v> + 2*r^2."""
     return intersection(params, v.c1, v.c1) - 2 * v.r * v.ch2
-
-
-def chi(params: SurfaceParams, v1: MukaiVector, v2: MukaiVector) -> int:
-    """Euler pairing, the negative of the Mukai pairing."""
-    return -mukai_pairing(params, v1, v2)
 
 
 def line_bundle_vector(e: int) -> MukaiVector:

@@ -13,7 +13,8 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import DomainError
-from .lattice import MukaiVector, SurfaceParams
+from .jsonio import frac_str
+from .lattice import MukaiVector, SurfaceParams, check_special_shape
 
 #: Slope of classes with vanishing imaginary part.
 INFINITE_SLOPE = float("inf")
@@ -63,10 +64,6 @@ class StabilityPoint:
     b: Fraction
     w: Fraction
 
-    def in_parabola(self) -> bool:
-        """Membership in the open region 2w > b^2."""
-        return 2 * Fraction(self.w) > Fraction(self.b) ** 2
-
 
 @dataclass(frozen=True)
 class WallPoint:
@@ -83,8 +80,6 @@ class WallPoint:
     e: Optional[int] = None
 
     def to_dict(self) -> dict:
-        from .jsonio import frac_str
-
         d = {"w": frac_str(self.w), "destabilizer": self.destabilizer.to_dict(), "kind": self.kind}
         if self.e is not None:
             d["e"] = self.e
@@ -181,51 +176,10 @@ def default_epsilon(params: SurfaceParams, v: MukaiVector) -> Fraction:
     H - a0*E) and the no-wall threshold.  Sufficient for the wall sequences
     exercised here; not claimed minimal.
     """
-    if v.x != 1 or v.y > 0:
-        raise DomainError(
-            f"expected a vector of shape (r0, H - a0*E, s0 + r0) with a0 >= 0, got {v}",
-            code="bad_vector_shape",
-        )
+    check_special_shape(v)
     a0 = -v.y
     m = (params.g - 1 - a0 * params.k) ** 2
     return min(epsilon_threshold(params, m), nowall_threshold(params)) / 2
-
-
-def spherical_scan(sp: StabilityParams, box: int) -> Optional[Fraction]:
-    """Least squared distance to the origin of projections of spherical classes.
-
-    Scans ranked vectors with square -2 and all coordinates bounded by
-    ``box``, excluding the two structure-sheaf classes whose projection is the
-    origin itself.  Returns None when the box contains no such class.  This is
-    an upper-bound certificate for the squared gap, not the gap itself.
-    """
-    if box < 1:
-        raise DomainError(f"box must be >= 1, got {box}", code="bad_box")
-    g, k = sp.surface.g, sp.surface.k
-    a = sp.h_eps_square
-    best: Optional[Fraction] = None
-    rng = range(-box, box + 1)
-    for r in rng:
-        if r == 0:
-            continue
-        for x in rng:
-            for y in rng:
-                c1sq = x * x * (2 * g - 2) + 2 * x * y * k
-                # <v,v> = c1^2 - 2rs = -2 fixes s when divisible
-                num = c1sq + 2
-                if num % (2 * r) != 0:
-                    continue
-                s = num // (2 * r)
-                if not -box <= s <= box:
-                    continue
-                if (r, x, y, s) in ((1, 0, 0, 1), (-1, 0, 0, -1)):
-                    continue
-                p = sp.pic_dot_h_eps(x, y) / (a * r)
-                q = Fraction(s - r) / (a * r)
-                norm = p * p + q * q
-                if best is None or norm < best:
-                    best = norm
-    return best
 
 
 def lemma_key_scan(

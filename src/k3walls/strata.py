@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .hbn import ell_decompose
-from .lattice import MukaiVector, SurfaceParams, line_bundle_vector, mukai_pairing, square
+from .lattice import (
+    MukaiVector,
+    SurfaceParams,
+    check_special_shape,
+    line_bundle_vector,
+    mukai_pairing,
+    square,
+)
 from .stability import StabilityParams, WallPoint, wall_on_axis
 
 
@@ -98,35 +105,24 @@ def residual_vector(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> 
     return out
 
 
+def passes_square_filter(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> bool:
+    """Whether the residual vector of t has square >= -2; below that t is empty."""
+    return square(params, residual_vector(params, v, t)) >= -2
+
+
 @dataclass(frozen=True)
 class TypeEnumeration:
     r: int
     refined: bool
-    square_filtered: bool
     items: tuple[StabilityType, ...]
 
 
-def _check_special_shape(v: MukaiVector) -> None:
-    if v.x != 1 or v.y > 0:
-        raise DomainError(
-            f"expected a vector of shape (r0, H - a0*E, s0 + r0) with a0 >= 0, got {v}",
-            code="bad_vector_shape",
-        )
-
-
-def enumerate_types(
-    params: SurfaceParams,
-    v: MukaiVector,
-    r: int,
-    refined: bool = False,
-    square_filtered: bool = False,
-) -> TypeEnumeration:
+def enumerate_types(r: int, refined: bool = False) -> TypeEnumeration:
     """All types passing validate_type for this r, canonically sorted.
 
-    With the square filter, types whose residual vector has square below -2
-    are dropped.  The enumeration is finite: e_1 <= r and p <= r+1.
+    The constraints involve r alone, so the table serves every surface and
+    vector.  The enumeration is finite: e_1 <= r and p <= r+1.
     """
-    _check_special_shape(v)
     if r < -1:
         raise DomainError(f"r must be >= -1, got {r}", code="bad_rank")
     found: list[StabilityType] = []
@@ -148,10 +144,8 @@ def enumerate_types(
         found.append(StabilityType())
     else:
         extend([], r, r + 1)
-    if square_filtered:
-        found = [t for t in found if square(params, residual_vector(params, v, t)) >= -2]
     found.sort(key=StabilityType.sort_key)
-    return TypeEnumeration(r=r, refined=refined, square_filtered=square_filtered, items=tuple(found))
+    return TypeEnumeration(r=r, refined=refined, items=tuple(found))
 
 
 def stratum_dimension(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> int:
@@ -187,9 +181,11 @@ def _balanced_case(v: MukaiVector, t: StabilityType) -> tuple[int, int, int] | N
 
     It decides a balanced type {(e+1, m1), (e, m2)}, m1 = 0 allowed, of a
     vector of shape (r0 <= 0, H - a0*E, s0 + r0) in one of two degree cases:
-    generic (ch2 < 0) or genus minus one (rank 0 and ch2 = 0).
+    generic (ch2 < 0) or genus minus one (rank 0 and ch2 = 0).  A vector of
+    another shape is an error.
     """
-    if v.r > 0 or v.x != 1 or v.y > 0 or not (v.ch2 < 0 or v.r == v.ch2 == 0):
+    check_special_shape(v)
+    if v.r > 0 or not (v.ch2 < 0 or v.r == v.ch2 == 0):
         return None
     if t.p == 1:
         e, m2 = t.pairs[0]
@@ -234,15 +230,15 @@ def balanced_nonempty(
 
 
 def type_verdict(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> Verdict:
-    """The emptiness verdict of any type of v.
+    """The emptiness verdict of any type of v, a vector of shape (r0, H - a0*E, s0 + r0).
 
     A type that balanced_nonempty decides gets its verdict.  Any other type
-    is empty by necessity when its residual square is below -2, which is the
+    is empty by necessity when it fails the square filter, which tests the
     square balanced_nonempty tests too, and unknown otherwise.
     """
     if _balanced_case(v, t) is not None:
         return balanced_nonempty(params, v, t).verdict
-    if square(params, residual_vector(params, v, t)) < -2:
+    if not passes_square_filter(params, v, t):
         return Verdict.EMPTY_BY_NECESSITY
     return Verdict.UNKNOWN
 
@@ -255,7 +251,7 @@ def wall_sequence(sp: StabilityParams, v: MukaiVector, t: StabilityType) -> list
     e = 0 degenerate to the origin ray at w = 0.  A non-decreasing sequence
     signals an inconsistent (v, t, eps) triple and is an error.
     """
-    _check_special_shape(v)
+    check_special_shape(v)
     if v.r == 0 and v.ch2 >= 0:
         raise DomainError(f"rank-zero input needs negative ch2, got {v}", code="bad_vector_shape")
     walls: list[WallPoint] = []

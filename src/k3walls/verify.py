@@ -168,13 +168,14 @@ def check_strata_dimension_identity(max_g, max_k, budget=6):
 
 
 def check_strata_dimension_bounds(max_g, max_k, budget=4):
+    types = [strata.enumerate_types(r).items for r in range(budget + 1)]
     for g in range(3, min(max_g, 9) + 1):
         for k in range(2, min(max_k, 5) + 1):
             params = lattice.SurfaceParams(g, k)
             for d in range(1, g):
                 v = _vector_for(g, d)
                 for r in range(0, budget + 1):
-                    for t in strata.enumerate_types(params, v, r).items:
+                    for t in types[r]:
                         ell = strata.ell_value(t, r)
                         bound = g + hbn.rho(g, r - ell, d) - ell * k
                         dim = strata.stratum_dimension(params, v, t)
@@ -190,6 +191,7 @@ def check_strata_dimension_bounds(max_g, max_k, budget=4):
 
 
 def check_strata_nonexistence(max_g, max_k, budget=3):
+    types = [strata.enumerate_types(r).items for r in range(budget + 1)]
     for g in range(3, min(max_g, 8) + 1):
         for k in range(2, min(max_k, 5) + 1):
             params = lattice.SurfaceParams(g, k)
@@ -199,18 +201,16 @@ def check_strata_nonexistence(max_g, max_k, budget=3):
                     if value >= 0:
                         continue
                     v = _vector_for(g, d)
-                    enum = strata.enumerate_types(params, v, r)
-                    for t in enum.items:
+                    for t in types[r]:
                         ell = strata.ell_value(t, r)
                         if hbn.rho(g, r - ell, d) - ell * k >= 0:
                             raise CheckFailed(
                                 f"type {t.to_list()} has nonneg count at ({g},{k},{d},{r})"
                             )
-                    items = set(enum.items)
                     for ell in range(0, r + 1):
                         t = strata.balanced_type(r, ell)
                         verdict = strata.type_verdict(params, v, t)
-                        if t in items and verdict is not strata.Verdict.EMPTY_BY_NECESSITY:
+                        if t in types[r] and verdict is not strata.Verdict.EMPTY_BY_NECESSITY:
                             raise CheckFailed(
                                 f"enumerated balanced type {t.to_list()} not excluded at ({g},{k},{d},{r})"
                             )
@@ -218,17 +218,17 @@ def check_strata_nonexistence(max_g, max_k, budget=3):
 
 
 def check_strata_square_filter(max_g, max_k, budget=3):
+    types = [strata.enumerate_types(r).items for r in range(budget + 1)]
     for g in range(3, min(max_g, 8) + 1):
         for k in range(2, min(max_k, 5) + 1):
             params = lattice.SurfaceParams(g, k)
             for d in range(1, g):
                 v = _vector_for(g, d)
                 for r in range(0, budget + 1):
-                    full = strata.enumerate_types(params, v, r).items
-                    kept = set(strata.enumerate_types(params, v, r, square_filtered=True).items)
-                    for t in full:
+                    for t in types[r]:
+                        dropped = not strata.passes_square_filter(params, v, t)
                         verdict = strata.type_verdict(params, v, t)
-                        if (t not in kept) != (verdict is strata.Verdict.EMPTY_BY_NECESSITY):
+                        if dropped != (verdict is strata.Verdict.EMPTY_BY_NECESSITY):
                             raise CheckFailed(
                                 f"filter/verdict mismatch for {t.to_list()} at ({g},{k},{d},{r})"
                             )
@@ -451,7 +451,12 @@ def _guarded(fn, max_g, max_k) -> CheckResult:
 
 
 def run_checks(suite: str, max_g: int, max_k: int) -> list[CheckResult]:
-    """Run one suite (or "all"), one check after another; canonical name order."""
+    """Run one suite (or "all"), one check after another; canonical name order.
+
+    The grid's largest surface must exist (g >= 3, k >= 2), so that no check
+    passes on an empty grid.
+    """
+    lattice.SurfaceParams(max_g, max_k)
     if suite == "all":
         selected = [fn for name in SUITES for fn in CHECKS[name]]
     elif suite in CHECKS:

@@ -25,6 +25,7 @@ from k3walls import (
     epsilon_threshold,
     line_bundle_vector,
     oracle_check,
+    passes_square_filter,
     projection,
     slope,
     wall_on_axis,
@@ -123,7 +124,7 @@ def test_criterion_5_wall_arithmetic():
             vec = MukaiVector(r0, 1, -a0, rng.randint(-5, -1) + r0)
         r = rng.randint(0, 4)
         candidates = [
-            t for t in enumerate_types(surf, vec, r, square_filtered=True).items if t.p > 0
+            t for t in enumerate_types(r).items if t.p > 0 and passes_square_filter(surf, vec, t)
         ]
         if not candidates:
             continue

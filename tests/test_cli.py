@@ -95,6 +95,22 @@ def test_types_command(capsys):
     assert verdicts == ["empty_by_necessity", "non_empty", "empty_by_necessity"]
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--g", "2", "--k", "2", "--v", "0,2,0", "--r", "-2"], "bad_genus"),
+        (["--g", "5", "--k", "2", "--v", "0,2,0", "--r", "-2"], "bad_vector"),
+        (["--g", "5", "--k", "2", "--v", "0,2,0,-1", "--r", "-2"], "bad_vector_shape"),
+        (["--g", "5", "--k", "2", "--v", "0,1,0,-1", "--r", "-2"], "bad_rank"),
+    ],
+)
+def test_types_error_order(capsys, argv, error):
+    # genus, then vector, then shape, then rank
+    code, out, _ = run_cli(capsys, "types", *argv)
+    assert code == 1
+    assert payload(out)["error"]["code"] == error
+
+
 def test_chain_command(capsys):
     code, out, _ = run_cli(capsys, "chain", "--g", "4", "--k", "3", "--r", "1", "--d", "3")
     assert code == 0
@@ -119,6 +135,21 @@ def test_verify_all_full_scale(capsys):
     assert result["failed"] == 0
     assert result["passed"] == 22
     assert err.count("PASS") >= 22
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--max-g", "2", "--max-k", "5"], "bad_genus"),
+        (["--max-g", "8", "--max-k", "1"], "bad_pencil_degree"),
+        (["--max-g", "2", "--max-k", "1"], "bad_genus"),
+    ],
+)
+def test_verify_rejects_empty_grid(capsys, argv, error):
+    # below g = 3 or k = 2 the grid has no surface, so a check could only pass vacuously
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", *argv)
+    assert code == 1
+    assert payload(out)["error"]["code"] == error
 
 
 def test_check_names_follow_function_names():
@@ -197,6 +228,33 @@ def test_exit_code_on_bad_pencil_degree(capsys, argv, error):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 1
     assert payload(out)["error"]["code"] == error
+
+
+@pytest.mark.parametrize(
+    "argv, flag, value, error",
+    [
+        (["walls", "--g", "3", "--k", "2", "--v", "0,1,0,-1", "--type", "[[1,1]]"],
+         "--eps", "-1/2", "bad_eps"),
+        (["plot-walls", "--g", "3", "--k", "2", "--eps", "1/10", "--v", "0,1,0,-1"],
+         "--viewport", "-1,1,-0.2,1", None),
+        (["types", "--g", "5", "--k", "2", "--r", "1"], "--v", "-1,1,0,-2", None),
+    ],
+    ids=["eps", "viewport", "vector"],
+)
+def test_leading_minus_value(capsys, tmp_path, argv, flag, value, error):
+    # a value starting with a minus sign is a value, with or without "="
+    if argv[0] == "plot-walls":
+        argv = argv + ["--out", str(tmp_path / "x.svg")]
+    spaced = run_cli(capsys, *argv, flag, value)
+    joined = run_cli(capsys, *argv, f"{flag}={value}")
+    assert spaced == joined
+    code, out, _ = spaced
+    if error is None:
+        assert code == 0
+        assert payload(out)["inputs"][flag.removeprefix("--")] == value
+    else:
+        assert code == 1
+        assert payload(out)["error"]["code"] == error
 
 
 def test_plot_walls_unwritable_out(capsys, tmp_path):

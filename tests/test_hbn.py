@@ -8,7 +8,6 @@ from k3walls import (
     balanced_correspondence,
     degeneracy_dims,
     ell_decompose,
-    pencil_power_h0,
     rho,
     rho_k,
     splitting_nonneg_part,
@@ -72,14 +71,6 @@ def test_degeneracy_dims_examples():
         degeneracy_dims(5, 2, 5, 1, 1)  # d > g-1
     with pytest.raises(DomainError):
         degeneracy_dims(5, 2, 3, 1, 2)  # ell > r
-
-
-def test_pencil_power_h0():
-    assert pencil_power_h0(7, 3, 2) == 3
-    assert pencil_power_h0(9, 4, 0) == 1
-    assert pencil_power_h0(3, 2, 5) == 8
-    with pytest.raises(DomainError):
-        pencil_power_h0(3, 2, -1)
 
 
 def test_splitting_nonneg_part():

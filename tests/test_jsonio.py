@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3walls import DomainError, INFINITE_SLOPE
-from k3walls.jsonio import dumps_canonical, frac_str, parse_frac, slope_str
+from k3walls import DomainError
+from k3walls.jsonio import dumps_canonical, frac_str, parse_frac
 
 
 def test_frac_str_lowest_terms():
@@ -13,11 +13,6 @@ def test_frac_str_lowest_terms():
     assert frac_str(Fraction(-2, 4)) == "-1/2"
     assert frac_str(0) == "0/1"
     assert frac_str(3) == "3/1"
-
-
-def test_slope_str():
-    assert slope_str(INFINITE_SLOPE) == "inf"
-    assert slope_str(Fraction(-5, 12)) == "-5/12"
 
 
 def test_parse_frac():

@@ -7,13 +7,13 @@ from k3walls import (
     MukaiVector,
     PicClass,
     SurfaceParams,
-    chi,
     discriminant,
     intersection,
     line_bundle_vector,
     mukai_pairing,
     square,
 )
+from k3walls.lattice import check_special_shape
 
 P32 = SurfaceParams(3, 2)
 P52 = SurfaceParams(5, 2)
@@ -70,17 +70,6 @@ def test_discriminant_matches_pairing(v):
     assert discriminant(P42, v) == square(P42, v) + 2 * v.r * v.r
 
 
-def test_chi_examples():
-    o_x = MukaiVector(1, 0, 0, 1)
-    assert chi(P32, o_x, o_x) == 2
-    assert chi(P52, MukaiVector(1, 0, 1, 1), MukaiVector(0, 1, 0, -1)) == -3
-
-
-@given(vectors, vectors)
-def test_chi_symmetric(v, w):
-    assert chi(P32, v, w) == chi(P32, w, v)
-
-
 def test_line_bundle_vector():
     assert line_bundle_vector(0) == MukaiVector(1, 0, 0, 1)
     assert line_bundle_vector(3) == MukaiVector(1, 0, 3, 1)
@@ -88,8 +77,10 @@ def test_line_bundle_vector():
         line_bundle_vector(-1)
 
 
-def test_vector_json_round_trip():
-    v = MukaiVector(-2, 1, -3, 5)
-    assert MukaiVector.from_dict(v.to_dict()) == v
-    with pytest.raises(DomainError):
-        MukaiVector.from_dict({"r": 1, "x": 2})
+def test_check_special_shape():
+    for v in (MukaiVector(0, 1, 0, -1), MukaiVector(-2, 1, -3, 5)):
+        check_special_shape(v)  # x = 1 and a0 = -y >= 0
+    for v in (MukaiVector(0, 2, 0, -1), MukaiVector(0, 1, 1, -1)):
+        with pytest.raises(DomainError) as info:
+            check_special_shape(v)
+        assert info.value.code == "bad_vector_shape"

@@ -19,7 +19,6 @@ from k3walls import (
     nowall_threshold,
     projection,
     slope,
-    spherical_scan,
     wall_on_axis,
 )
 
@@ -177,20 +176,6 @@ def test_default_epsilon():
     assert eps <= epsilon_threshold(P32, (P32.g - 1) ** 2) / 2
     with pytest.raises(DomainError):
         default_epsilon(P32, MukaiVector(0, 2, 0, -1))
-
-
-def test_point_region_membership():
-    assert StabilityPoint(Fraction(0), Fraction(1)).in_parabola()
-    assert not StabilityPoint(Fraction(1), Fraction(1, 2)).in_parabola()  # boundary excluded
-    assert not StabilityPoint(Fraction(2), Fraction(1)).in_parabola()
-
-
-def test_spherical_scan():
-    assert spherical_scan(SP, 1) == Fraction(25, 121)
-    r2 = spherical_scan(SP, 2)
-    assert r2 is not None and r2 <= Fraction(25, 121)
-    with pytest.raises(DomainError):
-        spherical_scan(SP, 0)
 
 
 def test_lemma_key_scan_sees_violations_above_threshold():

@@ -12,12 +12,14 @@ from k3walls import (
     balanced_nonempty,
     balanced_type,
     enumerate_types,
+    passes_square_filter,
     square,
     stratum_dimension,
     type_verdict,
     validate_type,
     wall_sequence,
 )
+from k3walls import strata, verify
 from k3walls.strata import residual_vector
 
 P52 = SurfaceParams(5, 2)
@@ -47,26 +49,36 @@ def test_validate_type_examples():
 
 
 def test_enumerate_types_examples():
-    items = enumerate_types(P52, V53, 1).items
+    items = enumerate_types(1).items
     assert [t.to_list() for t in items] == [[[0, 2]], [[1, 1]], [[1, 1], [0, 1]]]
-    assert [t.to_list() for t in enumerate_types(P52, V53, 0).items] == [[[0, 1]]]
-    refined = enumerate_types(P52, V53, 1, refined=True).items
+    assert [t.to_list() for t in enumerate_types(0).items] == [[[0, 1]]]
+    refined = enumerate_types(1, refined=True).items
     assert [t.to_list() for t in refined] == [[[0, 2]], [[1, 1]]]
-    empty = enumerate_types(P52, V53, -1).items
+    empty = enumerate_types(-1).items
     assert len(empty) == 1 and empty[0].p == 0
+    with pytest.raises(DomainError, match="r must be >= -1"):
+        enumerate_types(-2)
 
 
 def test_enumerate_types_canonical_order():
-    items = enumerate_types(P52, V53, 3).items
+    items = enumerate_types(3).items
     keys = [t.sort_key() for t in items]
     assert keys == sorted(keys)
 
 
-def test_enumerate_types_shape_check():
-    with pytest.raises(DomainError):
-        enumerate_types(P52, MukaiVector(0, 2, 0, -1), 1)
-    with pytest.raises(DomainError):
-        enumerate_types(P52, MukaiVector(0, 1, 1, -1), 1)
+def test_strata_checks_enumerate_once_per_r(monkeypatch):
+    # the type table depends on r alone: 5 + 4 + 4 tables for the three checks
+    # that enumerate, however many (g, k, d) they visit
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return enumerate_types(*args, **kwargs)
+
+    monkeypatch.setattr(strata, "enumerate_types", spy)
+    results = verify.run_checks("strata", 8, 5)
+    assert all(res.ok for res in results), results
+    assert 0 < len(calls) <= 13
 
 
 def test_stratum_dimension_examples():
@@ -112,6 +124,9 @@ def test_balanced_nonempty_errors():
         balanced_nonempty(P52, MukaiVector(1, 1, 0, 0), mk((0, 1)))  # positive rank
     with pytest.raises(DomainError, match="no balanced verdict"):
         balanced_nonempty(P52, MukaiVector(-1, 1, 0, -1), mk((0, 1)))  # ch2 = 0 off rank 0
+    for decide in (balanced_nonempty, type_verdict):
+        with pytest.raises(DomainError, match="expected a vector of shape"):
+            decide(P52, MukaiVector(0, 2, 0, -1), mk((0, 1)))  # not (r0, H - a0*E, s0 + r0)
 
 
 @pytest.mark.parametrize(
@@ -165,3 +180,6 @@ def test_residual_square_meaning():
     t = mk((1, 1), (0, 1))
     res = balanced_nonempty(P52, V53, t)
     assert res.square == square(P52, residual_vector(P52, V53, t))
+    # the square filter keeps a type exactly when that square is >= -2
+    assert passes_square_filter(P52, V53, mk((1, 1)))  # square 0
+    assert not passes_square_filter(P52, V53, mk((2, 1)))  # square -4
