@@ -46,10 +46,12 @@ from .stability import (
 from .strata import (
     NonemptinessVerdict,
     StabilityType,
+    StratumExtremes,
     TypeEnumeration,
     Verdict,
     balanced_nonempty,
     balanced_type,
+    dimension_extremes,
     ell_value,
     enumerate_types,
     passes_square_filter,

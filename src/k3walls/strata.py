@@ -18,7 +18,6 @@ from .lattice import (
     SurfaceParams,
     check_special_shape,
     line_bundle_vector,
-    mukai_pairing,
     square,
 )
 from .stability import StabilityParams, WallPoint, wall_on_axis
@@ -57,17 +56,28 @@ class StabilityType:
 
     @classmethod
     def from_list(cls, pairs) -> "StabilityType":
-        try:
-            return cls(tuple((int(e), int(m)) for e, m in pairs))
-        except (TypeError, ValueError) as exc:
-            if isinstance(exc, DomainError):
-                raise
-            raise DomainError(f"malformed type payload: {pairs!r}", code="ill_formed_type") from exc
+        """The type of a decoded JSON payload: a list of [e, m] pairs of integers.
+
+        Anything else, including floats, strings, booleans and objects, is an
+        ill-formed type rather than something to coerce.
+        """
+        if not isinstance(pairs, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and all(type(n) is int for n in pair)
+            for pair in pairs
+        ):
+            raise DomainError(f"malformed type payload: {pairs!r}", code="ill_formed_type")
+        return cls(tuple(map(tuple, pairs)))
 
 
 def ell_value(t: StabilityType, r: int) -> int:
     """The derived index ell = r + 1 - sum(m_i)."""
     return r + 1 - t.total_multiplicity()
+
+
+def _check_section_count(r: int) -> None:
+    """r = -1 (no sections, the empty type) is the least section count."""
+    if r < -1:
+        raise DomainError(f"r must be >= -1, got {r}", code="bad_rank")
 
 
 def validate_type(t: StabilityType, r: int, refined: bool = False) -> bool:
@@ -105,9 +115,23 @@ def residual_vector(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> 
     return out
 
 
+def _residual_square(params: SurfaceParams, v: MukaiVector, sum_m: int, sum_me: int) -> int:
+    """Square of v - (M, 0, S, M), the quotient left after pairs with sum(m) = M, sum(m*e) = S.
+
+    With v = (r0, x, y, s) that quotient is (r0 - M, x, y - S, s - M), so
+    its square is x^2(2g-2) + 2x(y - S)k - 2(r0 - M)(s - M).
+    """
+    return (
+        v.x * v.x * params.h_square
+        + 2 * v.x * (v.y - sum_me) * params.k
+        - 2 * (v.r - sum_m) * (v.s - sum_m)
+    )
+
+
 def passes_square_filter(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> bool:
     """Whether the residual vector of t has square >= -2; below that t is empty."""
-    return square(params, residual_vector(params, v, t)) >= -2
+    sum_me = sum(m * e for e, m in t.pairs)
+    return _residual_square(params, v, t.total_multiplicity(), sum_me) >= -2
 
 
 @dataclass(frozen=True)
@@ -123,8 +147,7 @@ def enumerate_types(r: int, refined: bool = False) -> TypeEnumeration:
     The constraints involve r alone, so the table serves every surface and
     vector.  The enumeration is finite: e_1 <= r and p <= r+1.
     """
-    if r < -1:
-        raise DomainError(f"r must be >= -1, got {r}", code="bad_rank")
+    _check_section_count(r)
     found: list[StabilityType] = []
 
     def extend(prefix: list[tuple[int, int]], e_max: int, budget: int) -> None:
@@ -153,15 +176,98 @@ def stratum_dimension(params: SurfaceParams, v: MukaiVector, t: StabilityType) -
 
     (v - sum m_i*u_i)^2 + 2 + sum_j m_j*(<v - sum_{i<=j} m_i*u_i, u_j> - m_j)
     with u_i = (1, e_i*E, 1).  No positivity check: a negative value signals
-    emptiness to the caller.
+    emptiness to the caller.  After the pairs up to j, with M = sum m_i and
+    S = sum m_i*e_i, the running quotient is v - (M, 0, S, M), and its pairing
+    with u_j is x*e_j*k - r0 - s + 2M for v = (r0, x, y, s).
     """
-    running = v
-    correction = 0
+    sum_m = sum_me = correction = 0
     for e, m in t.pairs:
-        u = line_bundle_vector(e)
-        running = running - m * u
-        correction += m * (mukai_pairing(params, running, u) - m)
-    return square(params, running) + 2 + correction
+        sum_m += m
+        sum_me += m * e
+        correction += m * (v.x * e * params.k - v.r - v.s + 2 * sum_m - m)
+    return _residual_square(params, v, sum_m, sum_me) + 2 + correction
+
+
+@dataclass(frozen=True)
+class StratumExtremes:
+    """Stratum dimensions of the valid types of r with one value of ell.
+
+    least and largest are the extremes over all of them; saturated is the
+    dimension shared by those with sum m_i*(e_i+1) = r+1, or None when there
+    are none.
+    """
+
+    ell: int
+    least: int
+    largest: int
+    saturated: int | None
+
+
+def _type_sums(r: int, refined: bool) -> dict[int, int]:
+    """Maps M to the set of S, as a bitmask, over the valid types of r >= 0 with sum(m) = M.
+
+    Pairs are added in descending e, from e = r down to 0.  A state is keyed
+    by (M, P) and holds the reachable S as the bits of an integer, so adding
+    (e, m) shifts a whole set by m*e.  P is M before the last pair, which
+    only the refined constraints read (P = 0 exactly for a single pair);
+    plain states keep P = 0.  No transition leaves M > r+1, nor, refined,
+    2*(M - m_last) + m_last > r+1, because M and P never decrease.
+    """
+    top = r + 1
+    reach: dict[tuple[int, int], int] = {}
+    for e in range(r, -1, -1):
+        grown = dict(reach)
+        for (sum_m, _), mask in reach.items():
+            for m in range(1, top - (2 * sum_m if refined else sum_m) + 1):
+                key = (sum_m + m, sum_m if refined else 0)
+                grown[key] = grown.get(key, 0) | mask << (m * e)
+        for m in range(1, top // (e + 1) + 1):  # a first pair: m*(e+1) <= r+1
+            grown[m, 0] = grown.get((m, 0), 0) | 1 << (m * e)
+        reach = grown
+    sums: dict[int, int] = {}
+    for (sum_m, prefix), mask in reach.items():
+        if refined and prefix == 0 and 2 * sum_m > top:
+            mask &= 1  # a single pair with e >= 1 needs 2*m <= r+1
+        mask &= -1 << (top - sum_m)  # r+1 <= S + M
+        if mask:
+            sums[sum_m] = sums.get(sum_m, 0) | mask
+    return sums
+
+
+def dimension_extremes(
+    params: SurfaceParams, v: MukaiVector, r: int, refined: bool = False
+) -> tuple[StratumExtremes, ...]:
+    """The extremes of stratum_dimension over enumerate_types(r, refined), by ascending ell.
+
+    No type is listed.  With M = sum m_i and S = sum m_i*e_i the correction
+    of stratum_dimension telescopes, since 2*M_j*m_j - m_j^2 = M_j^2 - M_{j-1}^2,
+    to x*k*S - (r0 + s)*M + M^2 for v = (r0, x, y, s).  So the dimension
+    depends on (M, S) alone and, for fixed M, is linear in S: its extremes
+    sit at the least and the greatest reachable S, and all saturated types
+    of one ell share S = r+1-M.
+    """
+    _check_section_count(r)
+    sums = {0: 1} if r == -1 else _type_sums(r, refined)
+
+    def dimension(sum_m: int, sum_me: int) -> int:
+        correction = v.x * params.k * sum_me - (v.r + v.s) * sum_m + sum_m * sum_m
+        return _residual_square(params, v, sum_m, sum_me) + 2 + correction
+
+    out = []
+    for sum_m in sorted(sums, reverse=True):
+        mask, ell = sums[sum_m], r + 1 - sum_m
+        least_s, greatest_s = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
+        ends = (dimension(sum_m, least_s), dimension(sum_m, greatest_s))
+        out.append(
+            StratumExtremes(
+                ell=ell,
+                least=min(ends),
+                largest=max(ends),
+                # a saturated type has S = r+1-M = ell
+                saturated=dimension(sum_m, ell) if mask >> ell & 1 else None,
+            )
+        )
+    return tuple(out)
 
 
 class Verdict(enum.Enum):

@@ -175,6 +175,9 @@ def check_strata_dimension_bounds(max_g, max_k, budget=4):
             for d in range(1, g):
                 v = _vector_for(g, d)
                 for r in range(0, budget + 1):
+                    least: dict[int, int] = {}
+                    largest: dict[int, int] = {}
+                    saturated: dict[int, int] = {}  # every saturated dim equals the bound
                     for t in types[r]:
                         ell = strata.ell_value(t, r)
                         bound = g + hbn.rho(g, r - ell, d) - ell * k
@@ -183,10 +186,25 @@ def check_strata_dimension_bounds(max_g, max_k, budget=4):
                             raise CheckFailed(
                                 f"dim {dim} > bound {bound} for {t.to_list()} at ({g},{k},{d},{r})"
                             )
-                        if t.weighted_sections() == r + 1 and dim != bound:
-                            raise CheckFailed(
-                                f"saturated type misses bound for {t.to_list()} at ({g},{k},{d},{r})"
-                            )
+                        if t.weighted_sections() == r + 1:
+                            if dim != bound:
+                                raise CheckFailed(
+                                    f"saturated type misses bound for {t.to_list()} at ({g},{k},{d},{r})"
+                                )
+                            saturated[ell] = dim
+                        least[ell] = min(dim, least.get(ell, dim))
+                        largest[ell] = max(dim, largest.get(ell, dim))
+                    enumerated = [
+                        (ell, least[ell], largest[ell], saturated.get(ell)) for ell in sorted(least)
+                    ]
+                    fast = [
+                        (ext.ell, ext.least, ext.largest, ext.saturated)
+                        for ext in strata.dimension_extremes(params, v, r)
+                    ]
+                    if fast != enumerated:
+                        raise CheckFailed(
+                            f"dimension_extremes {fast} != enumerated {enumerated} at ({g},{k},{d},{r})"
+                        )
     return "upper bound and saturated equality hold"
 
 

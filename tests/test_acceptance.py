@@ -21,12 +21,14 @@ from k3walls import (
     SurfaceParams,
     build_chain,
     default_epsilon,
+    dimension_extremes,
     enumerate_types,
     epsilon_threshold,
     line_bundle_vector,
     oracle_check,
     passes_square_filter,
     projection,
+    rho,
     slope,
     wall_on_axis,
     wall_sequence,
@@ -223,3 +225,25 @@ def test_criterion_9_golden_files(tmp_path):
     assert doc["result"]["walls"][0]["w"] == "25/132"
     doc = json.loads((GOLDEN / "tableaux.json").read_text())
     assert doc["result"]["feasible"] is False
+
+
+@criterion(10, "dimension bound through the DP")
+def test_criterion_10_dimension_bound_dp():
+    start = time.monotonic()
+    # r <= 20, plain and refined types, on four (g, k, d) with v = (0, H, 1+d-g):
+    # every ell has types, none exceeds g + rho(g, r-ell, d) - ell*k, and the
+    # saturated ones reach it.  Enumeration cannot get here: r = 10 already
+    # has 353,657 types.
+    for g, k, d in ((9, 4, 5), (12, 3, 7), (20, 5, 14), (6, 2, 1)):
+        params = SurfaceParams(g, k)
+        v = MukaiVector(0, 1, 0, 1 + d - g)
+        for r in range(0, 21):
+            for refined in (False, True):
+                extremes = dimension_extremes(params, v, r, refined)
+                assert [ext.ell for ext in extremes] == list(range(r + 1))
+                for ext in extremes:
+                    bound = g + rho(g, r - ext.ell, d) - ext.ell * k
+                    assert ext.largest <= bound, (g, k, d, r, refined, ext)
+                    assert ext.saturated == bound, (g, k, d, r, refined, ext)
+    elapsed = time.monotonic() - start
+    assert elapsed < 5, f"DP sweep took {elapsed:.1f}s"

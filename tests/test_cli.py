@@ -52,6 +52,20 @@ def test_walls_default_eps(capsys):
     assert result["walls"][0]["kind"] == "line_bundle"
 
 
+@pytest.mark.parametrize("command", ["walls", "plot-walls"])
+@pytest.mark.parametrize("text", ["[[1e400,1]]", "[[1.5,1]]", '[["2",1]]', "[[true,1]]", "{}"])
+def test_type_payload_must_be_integer_pairs(capsys, tmp_path, command, text):
+    # JSON decodes 1e400 to inf, which int() cannot convert; no payload here is integer pairs
+    argv = [command, "--g", "3", "--k", "2", "--eps", "1/10", "--v", "0,1,0,-1", "--type", text]
+    out_file = tmp_path / "walls.svg"
+    if command == "plot-walls":
+        argv += ["--out", str(out_file)]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert payload(out)["error"]["code"] == "ill_formed_type"
+    assert not out_file.exists()
+
+
 def test_tableaux_example(capsys):
     code, out, _ = run_cli(capsys, "tableaux", "--g", "2", "--k", "2", "--r", "1", "--d", "1")
     assert code == 0

@@ -1,17 +1,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3walls import (
     DomainError,
     MukaiVector,
     StabilityParams,
     StabilityType,
+    StratumExtremes,
     SurfaceParams,
     Verdict,
     balanced_nonempty,
     balanced_type,
+    dimension_extremes,
+    ell_value,
     enumerate_types,
+    line_bundle_vector,
+    mukai_pairing,
     passes_square_filter,
     square,
     stratum_dimension,
@@ -28,6 +35,12 @@ V53 = MukaiVector(0, 1, 0, -1)  # genus 5, degree 3
 
 def mk(*pairs):
     return StabilityType(tuple(pairs))
+
+
+@pytest.fixture(scope="module")
+def type_table():
+    """enumerate_types(r).items for r = -1..8, the reference for the integer paths."""
+    return {r: enumerate_types(r).items for r in range(-1, 9)}
 
 
 def test_type_validation():
@@ -183,3 +196,94 @@ def test_residual_square_meaning():
     # the square filter keeps a type exactly when that square is >= -2
     assert passes_square_filter(P52, V53, mk((1, 1)))  # square 0
     assert not passes_square_filter(P52, V53, mk((2, 1)))  # square -4
+
+
+def reference_numerics(params, v, t):
+    """(stratum_dimension, passes_square_filter) of t evaluated on MukaiVectors."""
+    running, correction = v, 0
+    for e, m in t.pairs:
+        u = line_bundle_vector(e)
+        running = running - m * u
+        correction += m * (mukai_pairing(params, running, u) - m)
+    residual_square = square(params, residual_vector(params, v, t))
+    return residual_square + 2 + correction, residual_square >= -2
+
+
+def integer_numerics(params, v, t):
+    return stratum_dimension(params, v, t), passes_square_filter(params, v, t)
+
+
+# special shape, then r0 < 0, x != 1 (including 0 and negative) and positive y
+KERNEL_VECTORS = [
+    V53,
+    MukaiVector(-2, 1, -1, -5),
+    MukaiVector(3, 2, 4, 1),
+    MukaiVector(-1, -1, 2, 0),
+    MukaiVector(0, 0, 5, -2),
+]
+
+
+def test_integer_kernel_matches_object_path(type_table):
+    params = SurfaceParams(9, 4)
+    for v in KERNEL_VECTORS:
+        for r in range(0, 7):
+            for t in type_table[r]:
+                assert integer_numerics(params, v, t) == reference_numerics(params, v, t), (v, t)
+
+
+@given(
+    g=st.integers(3, 40),
+    k=st.integers(2, 12),
+    entries=st.tuples(*[st.integers(-10**6, 10**6)] * 4),
+    levels=st.dictionaries(st.integers(0, 50), st.integers(1, 30), max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_integer_kernel_matches_object_path_random(g, k, entries, levels):
+    params, v = SurfaceParams(g, k), MukaiVector(*entries)
+    t = StabilityType(tuple(sorted(levels.items(), reverse=True)))
+    assert integer_numerics(params, v, t) == reference_numerics(params, v, t)
+
+
+def test_dimension_extremes_examples():
+    # r = 1: (0,2) has ell 0, dim 4; (1,1) ell 1, dim 6; (1,1),(0,1) ell 0, dim 2,
+    # and only the last is not saturated
+    assert dimension_extremes(P52, V53, 1) == (
+        StratumExtremes(ell=0, least=2, largest=4, saturated=4),
+        StratumExtremes(ell=1, least=6, largest=6, saturated=6),
+    )
+    # r = -1: the empty type, whose stratum has dimension v^2 + 2 = 10
+    assert dimension_extremes(P52, V53, -1) == (StratumExtremes(0, 10, 10, 10),)
+    with pytest.raises(DomainError, match="r must be >= -1"):
+        dimension_extremes(P52, V53, -2)
+
+
+@pytest.mark.parametrize("refined", [False, True])
+@pytest.mark.parametrize(
+    "params, v",
+    [
+        (SurfaceParams(9, 4), MukaiVector(0, 1, 0, -3)),  # x*k > 0: the least S is largest
+        (SurfaceParams(6, 3), MukaiVector(-1, -2, 3, 1)),  # x*k < 0: the greatest S is
+        (SurfaceParams(5, 5), MukaiVector(2, 0, 1, 3)),  # x = 0: S does not matter
+    ],
+)
+def test_dimension_extremes_match_enumeration(params, v, refined, type_table):
+    for r in range(-1, 9):
+        least, largest, saturated = {}, {}, {}
+        for t in type_table[r]:
+            if not validate_type(t, r, refined=refined):
+                continue
+            ell, dim = ell_value(t, r), stratum_dimension(params, v, t)
+            least[ell] = min(dim, least.get(ell, dim))
+            largest[ell] = max(dim, largest.get(ell, dim))
+            if t.weighted_sections() == r + 1:
+                saturated.setdefault(ell, set()).add(dim)
+        assert all(len(dims) == 1 for dims in saturated.values())
+        enumerated = [
+            (ell, least[ell], largest[ell], min(saturated.get(ell, {None})))
+            for ell in sorted(least)
+        ]
+        fast = [
+            (x.ell, x.least, x.largest, x.saturated)
+            for x in dimension_extremes(params, v, r, refined)
+        ]
+        assert fast == enumerated, (r, refined)
