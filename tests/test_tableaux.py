@@ -39,6 +39,38 @@ def test_max_omitted_examples():
     assert res.feasible and res.omitted == 3
 
 
+@pytest.mark.parametrize(
+    "inst, omitted, witness, nodes",
+    [
+        ((6, 2, 1, 4), 2, [[1, 2, 3], [2, 3, 4]], 46),
+        ((9, 4, 1, 6), 2, [[1, 2, 3, 4], [4, 5, 6, 7]], 515),
+        ((8, 2, 2, 6), 2, [[1, 2, 3, 4], [2, 3, 4, 5], [3, 4, 5, 6]], 248),
+        ((10, 5, 2, 8), None, None, 845),
+        (
+            (14, 3, 3, 11),
+            2,
+            [[1, 2, 3, 4, 5, 6], [3, 4, 5, 6, 7, 8], [5, 6, 7, 8, 9, 10], [7, 8, 9, 10, 11, 12]],
+            104041,
+        ),
+    ],
+)
+def test_max_omitted_pinned(inst, omitted, witness, nodes):
+    # node counts are part of the result: a change to the search order or its
+    # pruning shows here even when the maximum stays the same
+    res = max_omitted(*inst)
+    assert res.feasible == (omitted is not None)
+    assert res.omitted == omitted
+    assert (res.witness.to_list() if res.witness else None) == witness
+    assert res.nodes == nodes
+
+
+@pytest.mark.parametrize(
+    "inst, nodes", [((6, 2, 1, 4), 261), ((9, 4, 1, 6), 2518), ((10, 5, 2, 8), 7666)]
+)
+def test_max_omitted_naive_nodes_pinned(inst, nodes):
+    assert max_omitted_naive(*inst).nodes == nodes
+
+
 def test_max_omitted_budget():
     with pytest.raises(SearchBudgetExceeded):
         max_omitted(6, 2, 1, 4, budget=5)
