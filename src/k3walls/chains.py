@@ -35,12 +35,16 @@ TORSION_NOTE = (
 
 @dataclass(frozen=True)
 class RamificationSequence:
-    """Non-decreasing integers 0 <= a_0 <= ... <= a_r <= d-r."""
+    """Non-decreasing integers 0 <= a_0 <= ... <= a_r <= d-r, a tuple of plain ints."""
 
     alphas: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "alphas", tuple(int(a) for a in self.alphas))
+        if type(self.alphas) is not tuple or not all(type(a) is int for a in self.alphas):
+            raise DomainError(
+                f"entries must be a tuple of integers, got {self.alphas!r}",
+                code="ill_formed_ramification",
+            )
 
     def validate(self, r: int, d: int) -> None:
         a = self.alphas

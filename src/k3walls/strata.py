@@ -25,16 +25,21 @@ from .stability import StabilityParams, WallPoint, wall_on_axis
 
 @dataclass(frozen=True)
 class StabilityType:
-    """Ordered pairs (e_i, m_i), strictly decreasing e, positive m; possibly empty."""
+    """Ordered pairs (e_i, m_i), strictly decreasing e, positive m; possibly empty.
+
+    pairs is a tuple of 2-tuples of plain ints; nothing is coerced.
+    """
 
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((int(e), int(m)) for e, m in self.pairs))
-        es = [e for e, _ in self.pairs]
-        if any(m <= 0 for _, m in self.pairs) or any(e < 0 for e in es):
-            raise DomainError("ill-formed type", code="ill_formed_type")
-        if any(a <= b for a, b in zip(es, es[1:])):
+        pairs = self.pairs
+        entries_ok = type(pairs) is tuple and all(
+            type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int
+            and pair[0] >= 0 and pair[1] > 0
+            for pair in pairs
+        )
+        if not entries_ok or any(a[0] <= b[0] for a, b in zip(pairs, pairs[1:])):
             raise DomainError("ill-formed type", code="ill_formed_type")
 
     @property
@@ -171,6 +176,16 @@ def enumerate_types(r: int, refined: bool = False) -> TypeEnumeration:
     return TypeEnumeration(r=r, refined=refined, items=tuple(found))
 
 
+def _dimension(params: SurfaceParams, v: MukaiVector, sum_m: int, sum_me: int) -> int:
+    """stratum_dimension of any type with M = sum m_i and S = sum m_i*e_i.
+
+    The correction sum_j m_j*(x*e_j*k - r0 - s + 2*M_j - m_j) telescopes,
+    since 2*M_j*m_j - m_j^2 = M_j^2 - M_{j-1}^2, to x*k*S - (r0 + s)*M + M^2.
+    """
+    correction = v.x * params.k * sum_me - (v.r + v.s) * sum_m + sum_m * sum_m
+    return _residual_square(params, v, sum_m, sum_me) + 2 + correction
+
+
 def stratum_dimension(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> int:
     """Dimension of the stratum of objects of class v and type t.
 
@@ -180,12 +195,11 @@ def stratum_dimension(params: SurfaceParams, v: MukaiVector, t: StabilityType) -
     S = sum m_i*e_i, the running quotient is v - (M, 0, S, M), and its pairing
     with u_j is x*e_j*k - r0 - s + 2M for v = (r0, x, y, s).
     """
-    sum_m = sum_me = correction = 0
+    sum_m = sum_me = 0
     for e, m in t.pairs:
         sum_m += m
         sum_me += m * e
-        correction += m * (v.x * e * params.k - v.r - v.s + 2 * sum_m - m)
-    return _residual_square(params, v, sum_m, sum_me) + 2 + correction
+    return _dimension(params, v, sum_m, sum_me)
 
 
 @dataclass(frozen=True)
@@ -239,32 +253,25 @@ def dimension_extremes(
 ) -> tuple[StratumExtremes, ...]:
     """The extremes of stratum_dimension over enumerate_types(r, refined), by ascending ell.
 
-    No type is listed.  With M = sum m_i and S = sum m_i*e_i the correction
-    of stratum_dimension telescopes, since 2*M_j*m_j - m_j^2 = M_j^2 - M_{j-1}^2,
-    to x*k*S - (r0 + s)*M + M^2 for v = (r0, x, y, s).  So the dimension
-    depends on (M, S) alone and, for fixed M, is linear in S: its extremes
-    sit at the least and the greatest reachable S, and all saturated types
-    of one ell share S = r+1-M.
+    No type is listed.  With M = sum m_i and S = sum m_i*e_i the dimension
+    depends on (M, S) alone (see _dimension) and, for fixed M, is linear in
+    S: its extremes sit at the least and the greatest reachable S, and all
+    saturated types of one ell share S = r+1-M.
     """
     _check_section_count(r)
     sums = {0: 1} if r == -1 else _type_sums(r, refined)
-
-    def dimension(sum_m: int, sum_me: int) -> int:
-        correction = v.x * params.k * sum_me - (v.r + v.s) * sum_m + sum_m * sum_m
-        return _residual_square(params, v, sum_m, sum_me) + 2 + correction
-
     out = []
     for sum_m in sorted(sums, reverse=True):
         mask, ell = sums[sum_m], r + 1 - sum_m
         least_s, greatest_s = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
-        ends = (dimension(sum_m, least_s), dimension(sum_m, greatest_s))
+        ends = (_dimension(params, v, sum_m, least_s), _dimension(params, v, sum_m, greatest_s))
         out.append(
             StratumExtremes(
                 ell=ell,
                 least=min(ends),
                 largest=max(ends),
                 # a saturated type has S = r+1-M = ell
-                saturated=dimension(sum_m, ell) if mask >> ell & 1 else None,
+                saturated=_dimension(params, v, sum_m, ell) if mask >> ell & 1 else None,
             )
         )
     return tuple(out)

@@ -48,10 +48,9 @@ def _grid_shape(g: int, r: int, d: int) -> tuple[int, int]:
     return r + 1, g - d + r
 
 
-def is_valid(g: int, k: int, r: int, d: int, t: Tableau, label_cap: Optional[int] = None) -> bool:
-    """Both displacement conditions plus the label cap (defaults to g)."""
+def is_valid(g: int, k: int, r: int, d: int, t: Tableau) -> bool:
+    """Both displacement conditions, with every label in [1, g]."""
     rows, cols = _grid_shape(g, r, d)
-    cap = g if label_cap is None else label_cap
     if t.rows != rows or any(len(row) != cols for row in t.grid):
         raise DomainError(
             f"grid shape mismatch: expected {rows}x{cols}", code="shape_mismatch"
@@ -60,7 +59,7 @@ def is_valid(g: int, k: int, r: int, d: int, t: Tableau, label_cap: Optional[int
     for x in range(rows):
         for y in range(cols):
             v = t.grid[x][y]
-            if v < 1 or v > cap:
+            if v < 1 or v > g:
                 return False
             if x + 1 < rows and t.grid[x + 1][y] <= v:
                 return False
@@ -82,6 +81,12 @@ class SearchResult:
     nodes: int
 
 
+def _result(best: int, witness: Optional[Tableau], nodes: int) -> SearchResult:
+    """best = -1 (and no witness) when no valid tableau was found."""
+    feasible = best >= 0
+    return SearchResult(feasible, best if feasible else None, witness, nodes)
+
+
 def max_omitted(g: int, k: int, r: int, d: int, budget: Optional[int] = None) -> SearchResult:
     """Exhaustive maximum of g - #labels over valid tableaux.
 
@@ -97,22 +102,22 @@ def max_omitted(g: int, k: int, r: int, d: int, budget: Optional[int] = None) ->
     total = rows * cols
     grid = [[0] * cols for _ in range(rows)]
     residue: dict[int, int] = {}
-    count: dict[int, int] = {}
-    state = {"best": -1, "witness": None, "nodes": 0}
+    best, witness, nodes = -1, None, 0
 
     def dfs(idx: int) -> None:
-        state["nodes"] += 1
-        if budget is not None and state["nodes"] > budget:
-            raise SearchBudgetExceeded(budget, state["nodes"])
+        nonlocal best, witness, nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
+            raise SearchBudgetExceeded(budget, nodes)
         if idx == total:
             omitted = g - len(residue)
-            if omitted > state["best"]:
-                state["best"] = omitted
-                state["witness"] = Tableau(tuple(tuple(row) for row in grid))
+            if omitted > best:
+                best = omitted
+                witness = Tableau(tuple(tuple(row) for row in grid))
             return
         x, y = divmod(idx, cols)
         # even with only reused labels from here on, can we beat the best?
-        if g - len(residue) <= state["best"]:
+        if g - len(residue) <= best:
             return
         lo = 1
         if x > 0:
@@ -120,34 +125,26 @@ def max_omitted(g: int, k: int, r: int, d: int, budget: Optional[int] = None) ->
         if y > 0:
             lo = max(lo, grid[x][y - 1] + 1)
         hi = g - (rows - 1 - x) - (cols - 1 - y)
-        allow_new = g - len(residue) - 1 > state["best"]
+        allow_new = g - len(residue) - 1 > best
         diag = (x - y) % k
         for v in range(lo, hi + 1):
-            known = v in residue
-            if known:
-                if residue[v] != diag:
-                    continue
-                count[v] += 1
-            else:
+            fresh = v not in residue
+            if fresh:
                 if not allow_new:
                     continue
                 residue[v] = diag
-                count[v] = 1
+            elif residue[v] != diag:
+                continue
             grid[x][y] = v
             dfs(idx + 1)
             grid[x][y] = 0
-            if count[v] == 1:
+            # every later cell that reused v has backtracked already, so v
+            # leaves the map with the cell that introduced it
+            if fresh:
                 del residue[v]
-                del count[v]
-            else:
-                count[v] -= 1
 
     dfs(0)
-    if state["best"] < 0:
-        return SearchResult(feasible=False, omitted=None, witness=None, nodes=state["nodes"])
-    return SearchResult(
-        feasible=True, omitted=state["best"], witness=state["witness"], nodes=state["nodes"]
-    )
+    return _result(best, witness, nodes)
 
 
 def max_omitted_naive(g: int, k: int, r: int, d: int) -> SearchResult:
@@ -156,15 +153,16 @@ def max_omitted_naive(g: int, k: int, r: int, d: int) -> SearchResult:
     check_pencil_degree(k)
     total = rows * cols
     grid = [[0] * cols for _ in range(rows)]
-    state = {"best": -1, "witness": None, "nodes": 0}
+    best, witness, nodes = -1, None, 0
 
     def dfs(idx: int, used: dict[int, int]) -> None:
-        state["nodes"] += 1
+        nonlocal best, witness, nodes
+        nodes += 1
         if idx == total:
             omitted = g - len(used)
-            if omitted > state["best"]:
-                state["best"] = omitted
-                state["witness"] = Tableau(tuple(tuple(row) for row in grid))
+            if omitted > best:
+                best = omitted
+                witness = Tableau(tuple(tuple(row) for row in grid))
             return
         x, y = divmod(idx, cols)
         lo = 1
@@ -185,19 +183,11 @@ def max_omitted_naive(g: int, k: int, r: int, d: int) -> SearchResult:
                 del used[v]
 
     dfs(0, {})
-    if state["best"] < 0:
-        return SearchResult(feasible=False, omitted=None, witness=None, nodes=state["nodes"])
-    return SearchResult(
-        feasible=True, omitted=state["best"], witness=state["witness"], nodes=state["nodes"]
-    )
+    return _result(best, witness, nodes)
 
 
 @dataclass(frozen=True)
 class OracleReport:
-    g: int
-    k: int
-    r: int
-    d: int
     feasible: bool
     omitted: Optional[int]
     rho_k: int
@@ -225,10 +215,6 @@ def oracle_check(g: int, k: int, r: int, d: int, budget: Optional[int] = None) -
                 f"no valid tableau but rho_k {value} >= 0 at (g,k,r,d)=({g},{k},{r},{d})"
             )
     return OracleReport(
-        g=g,
-        k=k,
-        r=r,
-        d=d,
         feasible=result.feasible,
         omitted=result.omitted,
         rho_k=value,

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from k3walls import (
     DomainError,
     MukaiVector,
+    RamificationSequence,
     StabilityParams,
     StabilityType,
     StratumExtremes,
@@ -50,6 +51,29 @@ def test_type_validation():
         mk((1, 0))
     with pytest.raises(DomainError, match="ill-formed"):
         mk((-1, 1))
+
+
+@pytest.mark.parametrize(
+    "cls, value, code",
+    [
+        (StabilityType, ((1.7, 1),), "ill_formed_type"),
+        (StabilityType, ((True, 2),), "ill_formed_type"),
+        (StabilityType, (("3", 1),), "ill_formed_type"),
+        (StabilityType, ((2, 1.0),), "ill_formed_type"),
+        (StabilityType, [(1, 1)], "ill_formed_type"),
+        (StabilityType, ((1, 1, 0),), "ill_formed_type"),
+        (RamificationSequence, (0, 1.7), "ill_formed_ramification"),
+        (RamificationSequence, (True, 2), "ill_formed_ramification"),
+        (RamificationSequence, ("3", 4), "ill_formed_ramification"),
+        (RamificationSequence, [0, 1], "ill_formed_ramification"),
+    ],
+    ids=lambda x: getattr(x, "__name__", str(x)),
+)
+def test_library_values_are_not_coerced(cls, value, code):
+    # only plain int entries in tuples; a float, bool or str is an error, not an int()
+    with pytest.raises(DomainError) as info:
+        cls(value)
+    assert info.value.code == code
 
 
 def test_validate_type_examples():
