@@ -1,9 +1,9 @@
 """Exact wall-and-chamber numerics for degree-k elliptic K3 surfaces.
 
 Lattice pairings, central-ray walls, destabilization-type strata and their
-dimensions, plus two independent combinatorial oracles (displacement tableaux
-and elliptic-chain ramification data) for the pencil-adjusted Brill-Noether
-numbers.
+dimensions, a displacement-tableau oracle for the pencil-adjusted
+Brill-Noether numbers rho_k, and elliptic-chain ramification bookkeeping that
+re-checks its own closed form against the classical rho.
 """
 
 from .errors import DomainError, OracleViolation, SearchBudgetExceeded
@@ -66,7 +66,6 @@ from .chains import (
     ChainComponent,
     ChainSeries,
     RamificationSequence,
-    adjusted_rho,
     build_chain,
     complement,
     verify_chain,

@@ -17,7 +17,6 @@ out of scope here; only the numerical data is modeled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .errors import DomainError
 from .hbn import rho
@@ -71,13 +70,6 @@ def complement(r: int, d: int, seq: RamificationSequence) -> RamificationSequenc
     seq.validate(r, d)
     a = seq.alphas
     return RamificationSequence(tuple(d - r - a[r - j] for j in range(r + 1)))
-
-
-def adjusted_rho(g: int, r: int, d: int, seqs: Sequence[RamificationSequence]) -> int:
-    """rho(g, r, d) minus the total imposed ramification weight."""
-    for seq in seqs:
-        seq.validate(r, d)
-    return rho(g, r, d) - sum(seq.weight for seq in seqs)
 
 
 @dataclass(frozen=True)

@@ -81,17 +81,15 @@ def _stability_params(args) -> tuple[MukaiVector, StabilityParams, str]:
     return v, StabilityParams(params, eps), frac_str(eps)
 
 
-def _report(command: str, inputs: dict, result, warnings: list[str]) -> dict:
-    return {
+def _emit(args, inputs: dict, result, summary: str, warnings=()) -> None:
+    """Write the report of subcommand ``args.command`` to stdout, the summary to stderr."""
+    report = {
         "schema_version": SCHEMA_VERSION,
-        "command": command,
+        "command": args.command,
         "inputs": inputs,
         "result": result,
-        "warnings": warnings,
+        "warnings": list(warnings),
     }
-
-
-def _emit(report: dict, summary: str) -> None:
     sys.stdout.write(dumps_canonical(report))
     sys.stderr.write(summary + "\n")
 
@@ -100,8 +98,8 @@ def _emit(report: dict, summary: str) -> None:
 
 def _cmd_rho(args) -> int:
     value = hbn.rho(args.g, args.r, args.d)
-    report = _report("rho", {"g": args.g, "r": args.r, "d": args.d}, {"rho": value}, [])
-    _emit(report, f"rho(g={args.g}, r={args.r}, d={args.d}) = {value}")
+    inputs = {"g": args.g, "r": args.r, "d": args.d}
+    _emit(args, inputs, {"rho": value}, f"rho(g={args.g}, r={args.r}, d={args.d}) = {value}")
     return EXIT_OK
 
 
@@ -110,7 +108,7 @@ def _cmd_rho_k(args) -> int:
     result = {"rho_k": value, "argmax_ell": argmax}
     inputs = {"g": args.g, "k": args.k, "r": args.r, "d": args.d}
     _emit(
-        _report("rho-k", inputs, result, []),
+        args, inputs, result,
         f"rho_{args.k}(g={args.g}, r={args.r}, d={args.d}) = {value}, "
         f"argmax ell = {argmax}",
     )
@@ -138,8 +136,9 @@ def _cmd_decompose(args) -> int:
     elif args.g is not None or args.k is not None or args.d is not None:
         warnings.append("degeneracy block needs all of --g, --k, --d; skipped")
     _emit(
-        _report("decompose", inputs, result, warnings),
+        args, inputs, result,
         f"ell={args.ell} on r={args.r}: e={dec.e}, m1={dec.m1}, m2={dec.m2}",
+        warnings,
     )
     return EXIT_OK
 
@@ -169,10 +168,7 @@ def _cmd_types(args) -> int:
     }
     inputs = {"g": args.g, "k": args.k, "v": args.v, "r": args.r,
               "refined": args.refined, "square_filter": args.square_filter}
-    _emit(
-        _report("types", inputs, result, []),
-        f"{len(items)} stability types for r={args.r}",
-    )
+    _emit(args, inputs, result, f"{len(items)} stability types for r={args.r}")
     return EXIT_OK
 
 
@@ -183,7 +179,7 @@ def _cmd_walls(args) -> int:
     result = {"eps": eps_text, "walls": [w.to_dict() for w in walls]}
     inputs = {"g": args.g, "k": args.k, "eps": args.eps, "v": args.v, "type": args.type}
     _emit(
-        _report("walls", inputs, result, []),
+        args, inputs, result,
         "walls at w = " + ", ".join(frac_str(w.w) for w in walls),
     )
     return EXIT_OK
@@ -205,7 +201,7 @@ def _cmd_tableaux(args) -> int:
         if report.feasible
         else f"no valid tableau; rho_k = {report.rho_k}"
     )
-    _emit(_report("tableaux", inputs, result, []), summary)
+    _emit(args, inputs, result, summary)
     return EXIT_OK
 
 
@@ -216,7 +212,7 @@ def _cmd_chain(args) -> int:
     result["report"] = report.to_dict()
     inputs = {"g": args.g, "k": args.k, "r": args.r, "d": args.d}
     _emit(
-        _report("chain", inputs, result, []),
+        args, inputs, result,
         f"{len(chain.components)} components, total adjusted = {report.total_adjusted}, "
         f"ok = {report.ok}",
     )
@@ -225,21 +221,20 @@ def _cmd_chain(args) -> int:
 
 def _cmd_verify(args) -> int:
     results = verify.run_checks(args.suite, args.max_g, args.max_k)
-    for res in results:
-        sys.stderr.write(f"{'PASS' if res.ok else 'FAIL'} {res.name}: {res.detail}\n")
-    failed = [res for res in results if not res.ok]
+    passed = sum(res.ok for res in results)
     result = {
         "suite": args.suite,
         "max_g": args.max_g,
         "max_k": args.max_k,
         "checks": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
-        "passed": len(results) - len(failed),
-        "failed": len(failed),
+        "passed": passed,
+        "failed": len(results) - passed,
     }
     inputs = {"suite": args.suite, "max_g": args.max_g, "max_k": args.max_k}
-    sys.stdout.write(dumps_canonical(_report("verify", inputs, result, [])))
-    sys.stderr.write(f"{len(results) - len(failed)}/{len(results)} checks passed\n")
-    return EXIT_VERIFICATION_FAILURE if failed else EXIT_OK
+    lines = [f"{'PASS' if res.ok else 'FAIL'} {res.name}: {res.detail}" for res in results]
+    lines.append(f"{passed}/{len(results)} checks passed")
+    _emit(args, inputs, result, "\n".join(lines))
+    return EXIT_OK if passed == len(results) else EXIT_VERIFICATION_FAILURE
 
 
 def _cmd_plot_walls(args) -> int:
@@ -264,17 +259,14 @@ def _cmd_plot_walls(args) -> int:
     }
     inputs = {"g": args.g, "k": args.k, "eps": args.eps, "v": args.v,
               "type": args.type, "viewport": args.viewport, "out": args.out}
-    _emit(
-        _report("plot-walls", inputs, result, warnings),
-        f"wrote {args.out} with {len(walls)} wall lines",
-    )
+    _emit(args, inputs, result, f"wrote {args.out} with {len(walls)} wall lines", warnings)
     return EXIT_OK
 
 
 # ------------------------------------------------------------------ parser
 
-def _add_int(parser, name, required=True, default=None):
-    parser.add_argument(name, type=int, required=required, default=default)
+def _add_int(parser, name, required=True):
+    parser.add_argument(name, type=int, required=required)
 
 
 def build_parser() -> _ArgumentParser:

@@ -92,11 +92,19 @@ def degeneracy_dims(g: int, k: int, d: int, r: int, ell: int) -> DegeneracyDims:
 
 @dataclass(frozen=True)
 class SplittingType:
-    """Multidegree {(f_i, n_i)} of a pushforward to the line, f_1 > ... > f_q."""
+    """Multidegree {(f_i, n_i)} of a pushforward to the line, f_1 > ... > f_q.
+
+    pairs is a tuple of 2-tuples of plain ints; nothing is coerced.
+    """
 
     pairs: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if type(self.pairs) is not tuple or not all(
+            type(pair) is tuple and len(pair) == 2 and all(type(n) is int for n in pair)
+            for pair in self.pairs
+        ):
+            raise DomainError("a splitting type is a tuple of integer pairs", code="ill_formed_splitting")
         fs = [f for f, _ in self.pairs]
         if any(n <= 0 for _, n in self.pairs):
             raise DomainError("splitting multiplicities must be positive", code="ill_formed_splitting")

@@ -26,6 +26,16 @@ KIND_RANK_ZERO = "rank_zero"
 KIND_ORIGIN_RAY = "origin_ray"
 
 
+def _positive_eps(eps) -> Fraction:
+    """eps as a Fraction; it must be a positive int (not a bool) or Fraction."""
+    if not (type(eps) is int or isinstance(eps, Fraction)):
+        raise DomainError(f"eps must be an int or a Fraction, got {eps!r}", code="bad_eps")
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise DomainError(f"eps must be positive, got {eps}", code="bad_eps")
+    return eps
+
+
 @dataclass(frozen=True)
 class StabilityParams:
     """Surface data together with the slice parameter eps > 0."""
@@ -34,10 +44,7 @@ class StabilityParams:
     eps: Fraction
 
     def __post_init__(self):
-        eps = Fraction(self.eps)
-        if eps <= 0:
-            raise DomainError(f"eps must be positive, got {eps}", code="bad_eps")
-        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "eps", _positive_eps(self.eps))
 
     @property
     def h_eps_square(self) -> Fraction:
@@ -192,9 +199,7 @@ def lemma_key_scan(
     t lies outside {0, 1}.  For eps below eps_m no such class should exist;
     any hits are returned for inspection.
     """
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps}", code="bad_eps")
+    eps = _positive_eps(eps)
     g, k = params.g, params.k
     # integer form of the band 0 <= (tH+qE).H_eps <= H.H_eps, scaled by denominator(eps)
     a, b = eps.numerator, eps.denominator

@@ -21,8 +21,15 @@ HEIGHT = 480
 
 
 def fmt12(value) -> str:
-    """Render a rational at 12 significant decimal digits."""
-    return f"{float(value):.12g}"
+    """Render a rational at 12 significant decimal digits.
+
+    A coordinate beyond the float range means the viewport is too narrow for
+    what it shows, which is bad input rather than a crash.
+    """
+    try:
+        return f"{float(value):.12g}"
+    except OverflowError as exc:
+        raise DomainError("a coordinate overflows this viewport", code="bad_viewport") from exc
 
 
 class _Canvas:

@@ -36,7 +36,12 @@ class Tableau:
 
     @classmethod
     def from_list(cls, rows) -> "Tableau":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        """The tableau of a list of rows, each a list of plain ints; nothing is coerced."""
+        if type(rows) is not list or not all(
+            type(row) is list and all(type(v) is int for v in row) for row in rows
+        ):
+            raise DomainError("a tableau is a list of lists of integers", code="ill_formed_tableau")
+        return cls(tuple(tuple(row) for row in rows))
 
 
 def _grid_shape(g: int, r: int, d: int) -> tuple[int, int]:

@@ -1,11 +1,12 @@
 """Property suites behind the ``verify`` subcommand.
 
 Each check is a pure function of its ranges and a fixed seed: it returns
-its pass detail and raises ``CheckFailed`` on a counterexample.  A check
-``check_<suite>_<rest>`` reports under the name ``<suite>.<rest>``.  Checks
-are grouped by the module whose invariants they exercise; ``run_checks``
-runs a set of suites one check after another and returns results in
-canonical name order.
+its pass detail and raises ``CheckFailed`` on a counterexample.  Checks
+are grouped by the module whose invariants they exercise.  Defining
+``check_<suite>_<rest>`` registers it: ``CHECKS[<suite>]`` lists them in
+definition order, and it reports under the name ``<suite>.<rest>``.
+``run_checks`` runs a set of suites one check after another and returns
+results in canonical name order.
 """
 
 from __future__ import annotations
@@ -421,40 +422,8 @@ def check_chains_complement(max_g, max_k):
 
 
 CHECKS = {
-    "lattice": [
-        check_lattice_bilinearity,
-        check_lattice_discriminant,
-        check_lattice_signature,
-        check_lattice_pencil_spherical,
-    ],
-    "stability": [
-        check_stability_slope_scaling,
-        check_stability_rank_zero_slope,
-        check_stability_wall_monotone,
-        check_stability_lemma_key,
-    ],
-    "strata": [
-        check_strata_dimension_identity,
-        check_strata_dimension_bounds,
-        check_strata_nonexistence,
-        check_strata_square_filter,
-    ],
-    "hbn": [
-        check_hbn_rho_k_dominates,
-        check_hbn_rho_k_monotone,
-        check_hbn_ell_round_trip,
-        check_hbn_degeneracy_identity,
-        check_hbn_splitting_correspondence,
-    ],
-    "tableaux": [
-        check_tableaux_pruning,
-        check_tableaux_oracle,
-    ],
-    "chains": [
-        check_chains_verify,
-        check_chains_telescoping,
-        check_chains_complement,
-    ],
+    suite: [fn for name, fn in list(globals().items()) if name.startswith(f"check_{suite}_")]
+    for suite in SUITES
 }
 
 

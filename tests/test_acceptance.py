@@ -196,7 +196,8 @@ GOLDEN_PLOTS = {
 }
 
 
-def _run(args, cwd):
+def run_k3walls(args, cwd):
+    """stdout of ``python -m k3walls *args`` in cwd, importing this checkout's package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -209,10 +210,10 @@ def _run(args, cwd):
 @criterion(9, "golden outputs byte-identical")
 def test_criterion_9_golden_files(tmp_path):
     for name, args in GOLDEN_COMMANDS.items():
-        out = _run(args, tmp_path)
+        out = run_k3walls(args, tmp_path)
         assert out == (GOLDEN / name).read_bytes(), f"{name} differs"
     for stem, args in GOLDEN_PLOTS.items():
-        out = _run([*args, "--out", f"{stem}.svg"], tmp_path)
+        out = run_k3walls([*args, "--out", f"{stem}.svg"], tmp_path)
         assert out == (GOLDEN / f"{stem}.json").read_bytes()
         svg = (tmp_path / f"{stem}.svg").read_bytes()
         assert svg == (GOLDEN / f"{stem}.svg").read_bytes()

@@ -1,13 +1,10 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from k3walls import (
     ChainComponent,
     ChainSeries,
     DomainError,
     RamificationSequence,
-    adjusted_rho,
     build_chain,
     complement,
     rho,
@@ -20,26 +17,9 @@ def seq(*alphas):
     return RamificationSequence(tuple(alphas))
 
 
-def test_adjusted_rho_examples():
-    assert adjusted_rho(1, 1, 3, [seq(0, 0), seq(1, 2)]) == 0
-    assert adjusted_rho(1, 1, 3, [seq(0, 1), seq(1, 1)]) == 0
-    assert adjusted_rho(7, 2, 5, []) == rho(7, 2, 5)
-    with pytest.raises(DomainError):
-        adjusted_rho(1, 1, 3, [seq(2, 1)])  # decreasing entries
-
-
 def test_complement_examples():
     assert complement(1, 3, seq(1, 1)) == seq(1, 1)
     assert complement(1, 3, seq(0, 0)) == seq(2, 2)
-
-
-@given(st.integers(0, 6), st.integers(0, 12), st.data())
-@settings(max_examples=80, deadline=None)
-def test_complement_involution(r, extra, data):
-    d = r + extra
-    alphas = sorted(data.draw(st.lists(st.integers(0, extra), min_size=r + 1, max_size=r + 1)))
-    s = seq(*alphas)
-    assert complement(r, d, complement(r, d, s)) == s
 
 
 def test_build_chain_boundary_value():

@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from k3walls import verify
 from k3walls.cli import main
@@ -167,14 +171,17 @@ def test_verify_rejects_empty_grid(capsys, argv, error):
 
 
 def test_check_names_follow_function_names():
-    # check_<suite>_<rest> reports as <suite>.<rest>
+    # every check_<suite>_<rest> of verify is registered once, under its suite,
+    # and reports as <suite>.<rest>
     assert tuple(verify.CHECKS) == verify.SUITES
-    names = []
+    defined = [fn for name, fn in vars(verify).items() if name.startswith("check_")]
+    registered = [fn for fns in verify.CHECKS.values() for fn in fns]
+    assert sorted(registered, key=id) == sorted(defined, key=id)
+    assert len(set(registered)) == len(registered)
     for suite, fns in verify.CHECKS.items():
-        for fn in fns:
-            assert fn.__name__.startswith(f"check_{suite}_"), fn.__name__
-            names.append(f"{suite}.{fn.__name__.removeprefix(f'check_{suite}_')}")
-    assert len(names) == len(set(names)) == 22
+        assert all(fn.__name__.startswith(f"check_{suite}_") for fn in fns), suite
+    reported = [res.name for res in verify.run_checks("all", 3, 2)]
+    assert len(reported) == len(set(reported)) == 22
 
 
 @pytest.mark.parametrize(
@@ -323,3 +330,94 @@ def test_json_output_is_sorted_and_stable(capsys):
     doc = payload(out1)
     assert doc["schema_version"] == "1"
     assert list(doc.keys()) == sorted(doc.keys())
+
+
+@pytest.mark.parametrize(
+    "viewport",
+    ["-1,1,0,1e-400", "1,1,0,1", "0,1,x,1", "0,1,0"],
+    ids=["overflow", "degenerate", "unparsable", "three_entries"],
+)
+def test_plot_walls_bad_viewport(capsys, tmp_path, viewport):
+    # a coordinate beyond the float range is the viewport's fault, not a crash
+    out_file = tmp_path / "x.svg"
+    code, out, _ = run_cli(
+        capsys, "plot-walls", "--g", "3", "--k", "2", "--v", "0,1,0,-1",
+        f"--viewport={viewport}", "--out", str(out_file),
+    )
+    assert code == 1
+    assert payload(out)["error"]["code"] == "bad_viewport"
+    assert not out_file.exists()
+
+
+# ------------------------------------------------------------ CLI contract
+
+# tokens any text option may get, most of them malformed for it
+TEXT = st.sampled_from(
+    ["-1/2", "1e-400", "x", "{}", "[[1,1]]", "[[1e400,1]]", "", "0", "1/0",
+     "0,1,0,-1", "-1,1,0,1e-400", "all"]
+)
+
+
+def _ints(lo, hi):
+    return st.integers(lo, hi).map(str)
+
+
+G, K, R, D = _ints(2, 12), _ints(1, 6), _ints(-1, 4), _ints(-1, 12)
+VECTOR = st.sampled_from(
+    ["0,1,0,-1", "0,1,0,-3", "0,1,-1,-2", "-1,1,0,-2", "1,0,1,1", "2,1,0,1", "0,2,0,-1"]
+)
+VIEWPORT = st.sampled_from(["-1,1,-0.2,1", "-1/2,1/2,-1/10,1", "-1,1,0,1e-400", "1,1,0,1"])
+TYPE = st.sampled_from(["[[1,1]]", "[[2,1],[1,1]]", "[[0,2]]", "[[3,1],[1,1]]", "[]", "[[1,0]]"])
+EPS = st.sampled_from(["1/10", "1/7", "1", "-1/2", "0"])
+# subcommand -> {option: values, or None for a flag}; the bounds keep every call
+# small: types r <= 6, verify at most (4, 3), tableaux always gets a node budget
+OPTIONS = {
+    "rho": {"--g": G, "--r": R, "--d": D},
+    "rho-k": {"--g": G, "--k": K, "--r": R, "--d": D},
+    "decompose": {"--r": _ints(-1, 8), "--ell": _ints(-1, 8), "--g": G, "--k": K, "--d": D},
+    "types": {"--g": G, "--k": K, "--r": _ints(-2, 6), "--v": VECTOR,
+              "--refined": None, "--square-filter": None},
+    "walls": {"--g": G, "--k": K, "--eps": EPS, "--v": VECTOR, "--type": TYPE},
+    "tableaux": {"--g": G, "--k": K, "--r": R, "--d": D},
+    "chain": {"--g": G, "--k": _ints(-1, 8), "--r": R, "--d": D},
+    "verify": {"--suite": st.sampled_from(["all", *verify.SUITES, "x"]), "--max-g": _ints(2, 4),
+               "--max-k": _ints(1, 3)},
+    "plot-walls": {"--g": G, "--k": K, "--eps": EPS, "--v": VECTOR, "--type": TYPE,
+                   "--viewport": VIEWPORT},
+}
+
+
+@st.composite
+def argvs(draw):
+    # a clean argv gives every option a value from its own domain; a noisy one
+    # may also drop an option, leave it without a value, or give it any token
+    command = draw(st.sampled_from([*OPTIONS, "frobnicate"]))
+    noisy = draw(st.booleans())
+    argv = [command]
+    for flag, values in OPTIONS.get(command, {}).items():
+        if values is None or (noisy and draw(st.booleans())):
+            if draw(st.booleans()):
+                argv.append(flag)
+            continue
+        value = draw(st.one_of(values, TEXT) if noisy else values)
+        argv += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    if command == "tableaux":
+        argv += ["--budget", "10000"]
+    return argv
+
+
+@given(argv=argvs(), missing_dir=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_cli_contract(tmp_path_factory, argv, missing_dir):
+    # whatever the argv: one JSON document on stdout, exit 0, 1 or 2, no exception
+    if argv[0] == "plot-walls":
+        out_dir = tmp_path_factory.getbasetemp() / ("missing" if missing_dir else "")
+        argv = [*argv, "--out", str(out_dir / "x.svg")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), argv
+    text = out.getvalue()
+    assert text.count("\n") == 1 and text.endswith("\n"), argv
+    doc = json.loads(text)
+    assert ("error" in doc) == (code == 1), argv

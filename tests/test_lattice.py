@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from k3walls import (
     DomainError,
@@ -11,16 +9,12 @@ from k3walls import (
     intersection,
     line_bundle_vector,
     mukai_pairing,
-    square,
 )
 from k3walls.lattice import check_special_shape
 
 P32 = SurfaceParams(3, 2)
 P52 = SurfaceParams(5, 2)
 P42 = SurfaceParams(4, 2)
-
-coeff = st.integers(min_value=-10**6, max_value=10**6)
-vectors = st.builds(MukaiVector, coeff, coeff, coeff, coeff)
 
 
 def test_params_validation():
@@ -45,17 +39,6 @@ def test_pairing_examples():
     assert mukai_pairing(P52, MukaiVector(0, 1, 0, -1), MukaiVector(1, 0, 1, 1)) == 3
 
 
-@given(vectors, vectors)
-def test_pairing_symmetric(v, w):
-    assert mukai_pairing(P52, v, w) == mukai_pairing(P52, w, v)
-
-
-@given(vectors, vectors, vectors, st.integers(-100, 100), st.integers(-100, 100))
-def test_pairing_bilinear(u, v, w, a, b):
-    left = mukai_pairing(P32, a * u + b * v, w)
-    assert left == a * mukai_pairing(P32, u, w) + b * mukai_pairing(P32, v, w)
-
-
 def test_discriminant_examples():
     assert discriminant(P32, MukaiVector(1, 0, 0, 1)) == 0
     for s in range(-5, 6):
@@ -63,11 +46,6 @@ def test_discriminant_examples():
     # the rank-0 spherical class H - (g/k)E, present exactly when k | g
     assert discriminant(P42, MukaiVector(0, 1, -2, 0)) == -2
     assert discriminant(P42, MukaiVector(0, 1, -2, 7)) == -2
-
-
-@given(vectors)
-def test_discriminant_matches_pairing(v):
-    assert discriminant(P42, v) == square(P42, v) + 2 * v.r * v.r
 
 
 def test_line_bundle_vector():

@@ -8,16 +8,19 @@ from k3walls import (
     DomainError,
     MukaiVector,
     RamificationSequence,
+    SplittingType,
     StabilityParams,
     StabilityType,
     StratumExtremes,
     SurfaceParams,
+    Tableau,
     Verdict,
     balanced_nonempty,
     balanced_type,
     dimension_extremes,
     ell_value,
     enumerate_types,
+    lemma_key_scan,
     line_bundle_vector,
     mukai_pairing,
     passes_square_filter,
@@ -53,8 +56,16 @@ def test_type_validation():
         mk((-1, 1))
 
 
+def stability_params_eps(eps):
+    return StabilityParams(P52, eps)
+
+
+def lemma_key_scan_eps(eps):
+    return lemma_key_scan(P52, 0, eps)
+
+
 @pytest.mark.parametrize(
-    "cls, value, code",
+    "build, value, code",
     [
         (StabilityType, ((1.7, 1),), "ill_formed_type"),
         (StabilityType, ((True, 2),), "ill_formed_type"),
@@ -66,13 +77,26 @@ def test_type_validation():
         (RamificationSequence, (True, 2), "ill_formed_ramification"),
         (RamificationSequence, ("3", 4), "ill_formed_ramification"),
         (RamificationSequence, [0, 1], "ill_formed_ramification"),
+        (Tableau.from_list, [[1.7, True], ["3", 4]], "ill_formed_tableau"),
+        (Tableau.from_list, [[1, 2], [True, 3]], "ill_formed_tableau"),
+        (Tableau.from_list, ((1, 2), (2, 3)), "ill_formed_tableau"),
+        (Tableau.from_list, [(1, 2)], "ill_formed_tableau"),
+        (SplittingType, ((1.5, 1), (-4, 1)), "ill_formed_splitting"),
+        (SplittingType, ((1, True), (-4, 1)), "ill_formed_splitting"),
+        (SplittingType, [(1, 1), (-4, 1)], "ill_formed_splitting"),
+        (SplittingType, ((1, 1, 0), (-4, 1)), "ill_formed_splitting"),
+        (stability_params_eps, 0.1, "bad_eps"),
+        (stability_params_eps, True, "bad_eps"),
+        (stability_params_eps, "1/10", "bad_eps"),
+        (lemma_key_scan_eps, 0.1, "bad_eps"),
     ],
     ids=lambda x: getattr(x, "__name__", str(x)),
 )
-def test_library_values_are_not_coerced(cls, value, code):
-    # only plain int entries in tuples; a float, bool or str is an error, not an int()
+def test_library_values_are_not_coerced(build, value, code):
+    # only plain ints (and Fractions for eps) in tuples, or lists for a tableau;
+    # a float, bool or str is an error, not an int()
     with pytest.raises(DomainError) as info:
-        cls(value)
+        build(value)
     assert info.value.code == code
 
 
