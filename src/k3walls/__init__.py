@@ -55,7 +55,6 @@ from .strata import (
     ell_value,
     enumerate_types,
     passes_square_filter,
-    residual_vector,
     stratum_dimension,
     type_verdict,
     validate_type,

@@ -147,9 +147,8 @@ def _cmd_types(args) -> int:
     params = SurfaceParams(args.g, args.k)
     v = _parse_vector(args.v)
     check_special_shape(v)
-    enum = strata.enumerate_types(args.r, refined=args.refined)
     items = []
-    for t in enum.items:
+    for t in strata.enumerate_types(args.r, refined=args.refined).items:
         if args.square_filter and not strata.passes_square_filter(params, v, t):
             continue
         items.append(
@@ -161,8 +160,8 @@ def _cmd_types(args) -> int:
             }
         )
     result = {
-        "r": enum.r,
-        "refined": enum.refined,
+        "r": args.r,
+        "refined": args.refined,
         "square_filtered": args.square_filter,
         "items": items,
     }
@@ -347,7 +346,10 @@ ERRORS = {
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:  # only --help exits; error() raises DomainError
+            return exc.code
         return args.fn(args)
     except tuple(ERRORS) as exc:
         code, status = next(entry for kind, entry in ERRORS.items() if isinstance(exc, kind))

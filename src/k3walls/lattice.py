@@ -87,9 +87,6 @@ class MukaiVector:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "MukaiVector":
-        return -1 * self
-
     def to_dict(self) -> dict:
         return {"r": self.r, "x": self.x, "y": self.y, "s": self.s}
 

@@ -95,8 +95,6 @@ def validate_type(t: StabilityType, r: int, refined: bool = False) -> bool:
     """
     if t.p == 0:
         return r == -1
-    if r < 0:
-        return False
     e1, m1 = t.pairs[0]
     if not (t.total_multiplicity() <= r + 1 <= t.weighted_sections()):
         return False
@@ -110,14 +108,6 @@ def validate_type(t: StabilityType, r: int, refined: bool = False) -> bool:
         if bound > r + 1:
             return False
     return True
-
-
-def residual_vector(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> MukaiVector:
-    """v minus the full destabilizing contribution sum m_i*(1, e_i*E, 1)."""
-    out = v
-    for e, m in t.pairs:
-        out = out - m * line_bundle_vector(e)
-    return out
 
 
 def _residual_square(params: SurfaceParams, v: MukaiVector, sum_m: int, sum_me: int) -> int:
@@ -141,8 +131,6 @@ def passes_square_filter(params: SurfaceParams, v: MukaiVector, t: StabilityType
 
 @dataclass(frozen=True)
 class TypeEnumeration:
-    r: int
-    refined: bool
     items: tuple[StabilityType, ...]
 
 
@@ -173,7 +161,7 @@ def enumerate_types(r: int, refined: bool = False) -> TypeEnumeration:
     else:
         extend([], r, r + 1)
     found.sort(key=StabilityType.sort_key)
-    return TypeEnumeration(r=r, refined=refined, items=tuple(found))
+    return TypeEnumeration(items=tuple(found))
 
 
 def _dimension(params: SurfaceParams, v: MukaiVector, sum_m: int, sum_me: int) -> int:

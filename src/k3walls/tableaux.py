@@ -27,10 +27,6 @@ class Tableau:
     def rows(self) -> int:
         return len(self.grid)
 
-    @property
-    def cols(self) -> int:
-        return len(self.grid[0]) if self.grid else 0
-
     def to_list(self) -> list[list[int]]:
         return [list(row) for row in self.grid]
 

@@ -207,16 +207,22 @@ def run_k3walls(args, cwd):
     return proc.stdout
 
 
+def write_goldens(directory):
+    """Write every golden file into directory: stdout of each command, plus each plot's SVG."""
+    for name, args in GOLDEN_COMMANDS.items():
+        (directory / name).write_bytes(run_k3walls(args, directory))
+    for stem, args in GOLDEN_PLOTS.items():
+        out = run_k3walls([*args, "--out", f"{stem}.svg"], directory)
+        (directory / f"{stem}.json").write_bytes(out)
+
+
 @criterion(9, "golden outputs byte-identical")
 def test_criterion_9_golden_files(tmp_path):
-    for name, args in GOLDEN_COMMANDS.items():
-        out = run_k3walls(args, tmp_path)
-        assert out == (GOLDEN / name).read_bytes(), f"{name} differs"
-    for stem, args in GOLDEN_PLOTS.items():
-        out = run_k3walls([*args, "--out", f"{stem}.svg"], tmp_path)
-        assert out == (GOLDEN / f"{stem}.json").read_bytes()
-        svg = (tmp_path / f"{stem}.svg").read_bytes()
-        assert svg == (GOLDEN / f"{stem}.svg").read_bytes()
+    write_goldens(tmp_path)
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert names == sorted(path.name for path in GOLDEN.iterdir())
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), f"{name} differs"
     # sanity on the golden payloads themselves
     doc = json.loads((GOLDEN / "verify.json").read_text())
     assert doc["result"]["failed"] == 0

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -312,6 +313,36 @@ def test_plot_walls_projection_point(capsys, tmp_path):
     # the point sits at b = 5/11 in a (-1, 1) viewport: px = (5/11+1)/2*640
     assert 'cx="465.454545455"' in svg
     assert payload(out)["warnings"] == ["no walls requested; diagram shows the parabola only"]
+
+
+@pytest.mark.parametrize(
+    "vector, type_text, slanted, vertical, warnings",
+    [
+        ("-1,1,0,-3", "[[2,1],[1,1]]", 2, 0, []),
+        ("1,0,0,0", "[[1,1]]", 0, 1, []),
+        ("1,0,0,1", "[[1,1]]", 0, 0, ["wall at w=0 degenerates at the projection point"]),
+        ("0,0,0,-1", "[[1,1]]", 0, 0, ["vector has vanishing imaginary part; no wall line drawn"]),
+    ],
+    ids=["ranked", "vertical", "degenerate", "vanishing_imaginary"],
+)
+def test_plot_walls_line_kinds(capsys, tmp_path, vector, type_text, slanted, vertical, warnings):
+    out_path = tmp_path / "walls.svg"
+    code, out, _ = run_cli(
+        capsys, "plot-walls", "--g", "3", "--k", "2", "--eps", "1/10",
+        f"--v={vector}", "--type", type_text, "--out", str(out_path),
+    )
+    assert code == 0
+    ends = re.findall(r'<line class="wall" x1="([^"]+)" y1="[^"]+" x2="([^"]+)"', out_path.read_text())
+    assert sum(x1 != x2 for x1, x2 in ends) == slanted
+    assert sum(x1 == x2 for x1, x2 in ends) == vertical
+    assert payload(out)["warnings"] == warnings
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["rho", "--help"]], ids=["--help", "rho --help"])
+def test_help_returns_zero(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert "usage: k3walls" in out
 
 
 def test_plot_walls_deterministic(capsys, tmp_path):

@@ -31,7 +31,6 @@ from k3walls import (
     wall_sequence,
 )
 from k3walls import strata, verify
-from k3walls.strata import residual_vector
 
 P52 = SurfaceParams(5, 2)
 V53 = MukaiVector(0, 1, 0, -1)  # genus 5, degree 3
@@ -39,6 +38,13 @@ V53 = MukaiVector(0, 1, 0, -1)  # genus 5, degree 3
 
 def mk(*pairs):
     return StabilityType(tuple(pairs))
+
+
+def residual_vector(v, t):
+    """v minus the full destabilizing contribution sum m_i*(1, e_i*E, 1), on MukaiVectors."""
+    for e, m in t.pairs:
+        v = v - m * line_bundle_vector(e)
+    return v
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +113,8 @@ def test_validate_type_examples():
     assert validate_type(StabilityType(), -1) is True
     assert validate_type(StabilityType(), 0) is False
     assert validate_type(mk((0, 1)), 1) is False  # cannot carry two sections
+    assert validate_type(mk((1, 2)), 2) is False  # first pair m1*(e1+1) = 4 > r+1
+    assert validate_type(mk((1, 1)), -1) is False  # nonempty type, no sections
 
 
 def test_enumerate_types_examples():
@@ -219,7 +227,7 @@ def test_wall_sequence_examples():
     assert walls[0].kind == "origin_ray" and walls[0].w == 0
     walls = wall_sequence(sp, v, mk((1, 1), (0, 1)))
     assert [w.w for w in walls] == [Fraction(25, 132), Fraction(0)]
-    assert residual_vector(sp.surface, v, mk((1, 1))) == MukaiVector(-1, 1, -1, -2)
+    assert residual_vector(v, mk((1, 1))) == MukaiVector(-1, 1, -1, -2)
 
 
 def test_wall_sequence_non_monotone():
@@ -240,7 +248,7 @@ def test_residual_square_meaning():
     # residual square of the full type equals the balanced witness square
     t = mk((1, 1), (0, 1))
     res = balanced_nonempty(P52, V53, t)
-    assert res.square == square(P52, residual_vector(P52, V53, t))
+    assert res.square == square(P52, residual_vector(V53, t))
     # the square filter keeps a type exactly when that square is >= -2
     assert passes_square_filter(P52, V53, mk((1, 1)))  # square 0
     assert not passes_square_filter(P52, V53, mk((2, 1)))  # square -4
@@ -253,7 +261,7 @@ def reference_numerics(params, v, t):
         u = line_bundle_vector(e)
         running = running - m * u
         correction += m * (mukai_pairing(params, running, u) - m)
-    residual_square = square(params, residual_vector(params, v, t))
+    residual_square = square(params, residual_vector(v, t))
     return residual_square + 2 + correction, residual_square >= -2
 
 
