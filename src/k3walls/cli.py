@@ -26,6 +26,14 @@ EXIT_OK = 0
 EXIT_DOMAIN_ERROR = 1
 EXIT_VERIFICATION_FAILURE = 2
 
+#: Every integer read from the command line, and every numerator and
+#: denominator of a rational one, is below 2**MAX_INPUT_BITS, so it has at
+#: most 300 decimal digits.  A printed value has at most about 11 times the
+#: digits of the inputs it is computed from (a wall position with the default
+#: eps is the largest), which keeps it below Python's 4,300-digit limit on
+#: int-to-str conversion.
+MAX_INPUT_BITS = 996
+
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse that reports usage problems as domain errors (exit 1).
@@ -42,6 +50,22 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise DomainError(message, code="bad_usage")
 
 
+def _check_size(numbers, what: str, code: str) -> None:
+    """Reject an input integer of more than MAX_INPUT_BITS bits."""
+    if any(n.bit_length() > MAX_INPUT_BITS for n in numbers):
+        raise DomainError(f"{what}: an integer of more than {MAX_INPUT_BITS} bits", code=code)
+
+
+def _check_int_flags(args) -> None:
+    for name, value in vars(args).items():
+        if type(value) is int:
+            _check_size([value], f"argument --{name.replace('_', '-')}", "bad_usage")
+
+
+def _fraction_parts(values) -> list[int]:
+    return [n for f in values for n in (f.numerator, f.denominator)]
+
+
 def _parse_vector(text: str) -> MukaiVector:
     parts = text.split(",")
     if len(parts) != 4:
@@ -50,15 +74,18 @@ def _parse_vector(text: str) -> MukaiVector:
         r, x, y, s = (int(p) for p in parts)
     except ValueError as exc:
         raise DomainError(f"bad vector {text!r}: {exc}", code="bad_vector") from exc
+    _check_size((r, x, y, s), "vector", "bad_vector")
     return MukaiVector(r, x, y, s)
 
 
 def _parse_type(text: str) -> strata.StabilityType:
     try:
         pairs = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON, or a number past the int-from-str limit
         raise DomainError(f"bad type JSON {text!r}: {exc}", code="bad_type") from exc
-    return strata.StabilityType.from_list(pairs)
+    t = strata.StabilityType.from_list(pairs)
+    _check_size([n for pair in t.pairs for n in pair], "type", "bad_type")
+    return t
 
 
 def _parse_viewport(text: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
@@ -66,9 +93,11 @@ def _parse_viewport(text: str) -> tuple[Fraction, Fraction, Fraction, Fraction]:
     if len(parts) != 4:
         raise DomainError(f"expected bmin,bmax,wmin,wmax, got {text!r}", code="bad_viewport")
     try:
-        return tuple(Fraction(p) for p in parts)  # accepts both p/q and decimals
+        viewport = tuple(Fraction(p) for p in parts)  # accepts both p/q and decimals
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"bad viewport {text!r}: {exc}", code="bad_viewport") from exc
+    _check_size(_fraction_parts(viewport), "viewport", "bad_viewport")
+    return viewport
 
 
 def _stability_params(args) -> tuple[MukaiVector, StabilityParams, str]:
@@ -76,6 +105,7 @@ def _stability_params(args) -> tuple[MukaiVector, StabilityParams, str]:
     v = _parse_vector(args.v)
     if args.eps is not None:
         eps = parse_frac(args.eps)
+        _check_size(_fraction_parts([eps]), "eps", "bad_eps")
     else:
         eps = default_epsilon(params, v)
     return v, StabilityParams(params, eps), frac_str(eps)
@@ -350,6 +380,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(argv)
         except SystemExit as exc:  # only --help exits; error() raises DomainError
             return exc.code
+        _check_int_flags(args)
         return args.fn(args)
     except tuple(ERRORS) as exc:
         code, status = next(entry for kind, entry in ERRORS.items() if isinstance(exc, kind))

@@ -21,13 +21,26 @@ def rho(g: int, r: int, d: int) -> int:
 
 
 def rho_k(g: int, k: int, r: int, d: int) -> tuple[int, list[int]]:
-    """max over 0 <= ell <= r of rho(g, r-ell, d) - ell*k, with all maximizers."""
+    """max over 0 <= ell <= r of rho(g, r-ell, d) - ell*k, with all maximizers.
+
+    With A = r+1 and B = g-d+r the objective is g - (A-ell)(B-ell) - ell*k,
+    a strictly concave quadratic in ell with vertex (A+B-k)/2.  So the
+    maximum over the integers of [0, r] sits at the floor or the ceiling of
+    the vertex, each clamped to [0, r], and only those two are evaluated.
+    """
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}", code="bad_rank")
     check_pencil_degree(k)
-    values = [rho(g, r - ell, d) - ell * k for ell in range(r + 1)]
-    best = max(values)
-    return best, [ell for ell, v in enumerate(values) if v == best]
+    twice_vertex = (r + 1) + (g - d + r) - k
+    half = twice_vertex // 2
+    lo, hi = (min(max(ell, 0), r) for ell in (half, twice_vertex - half))  # floor, ceiling
+    best = rho(g, r - lo, d) - lo * k
+    if hi == lo:
+        return best, [lo]
+    other = rho(g, r - hi, d) - hi * k
+    if other == best:  # a vertex at a half-integer: both win, in ascending order
+        return best, [lo, hi]
+    return (best, [lo]) if best > other else (other, [hi])
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,8 @@ Everything here is pure and uses arbitrary-precision integers; no floats.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, OracleViolation
 
 
 def check_pencil_degree(k: int) -> None:
@@ -91,14 +90,19 @@ class MukaiVector:
         return {"r": self.r, "x": self.x, "y": self.y, "s": self.s}
 
 
+def _intersect(params: SurfaceParams, x: int, y: int, xp: int, yp: int) -> int:
+    """(xH+yE).(x'H+y'E) = xx'(2g-2) + (xy'+x'y)k."""
+    return x * xp * params.h_square + (x * yp + xp * y) * params.k
+
+
 def intersection(params: SurfaceParams, c: PicClass, cp: PicClass) -> int:
     """Intersection product (xH+yE).(x'H+y'E) = xx'(2g-2) + (xy'+x'y)k."""
-    return c.x * cp.x * params.h_square + (c.x * cp.y + cp.x * c.y) * params.k
+    return _intersect(params, c.x, c.y, cp.x, cp.y)
 
 
 def mukai_pairing(params: SurfaceParams, v1: MukaiVector, v2: MukaiVector) -> int:
     """Symmetric bilinear form <v1, v2> = c1(v1).c1(v2) - r1*s2 - r2*s1."""
-    return intersection(params, v1.c1, v2.c1) - v1.r * v2.s - v2.r * v1.s
+    return _intersect(params, v1.x, v1.y, v2.x, v2.y) - v1.r * v2.s - v2.r * v1.s
 
 
 def square(params: SurfaceParams, v: MukaiVector) -> int:
@@ -132,19 +136,24 @@ def gram_matrix(params: SurfaceParams) -> list[list[int]]:
     return [[mukai_pairing(params, a, b) for b in STANDARD_BASIS] for a in STANDARD_BASIS]
 
 
-def _char_poly(mat: list[list[int]]) -> list[Fraction]:
-    """Coefficients [c_0, ..., c_n] of det(t*I - M), c_n = 1, by Faddeev-LeVerrier."""
+def _char_poly(mat: list[list[int]]) -> list[int]:
+    """Coefficients [c_0, ..., c_n] of det(t*I - M), c_n = 1, by Faddeev-LeVerrier.
+
+    For an integer matrix every step stays integral: at step i the trace is
+    -i*c_{n-i}, and c_{n-i} is a coefficient of a monic integer polynomial.
+    """
     n = len(mat)
-    m = [[Fraction(x) for x in row] for row in mat]
-    coeffs = [Fraction(1)] * (n + 1)  # filled from the top degree down
-    a = [row[:] for row in m]
+    coeffs = [1] * (n + 1)  # filled from the top degree down
+    a = [row[:] for row in mat]
     for i in range(1, n + 1):
-        c = -sum(a[j][j] for j in range(n)) / i
+        c, rest = divmod(-sum(a[j][j] for j in range(n)), i)
+        if rest:
+            raise OracleViolation(f"trace of step {i} is not divisible by {i}")
         coeffs[n - i] = c
         if i < n:
             for j in range(n):
                 a[j][j] += c
-            a = [[sum(m[p][q] * a[q][r] for q in range(n)) for r in range(n)] for p in range(n)]
+            a = [[sum(mat[p][q] * a[q][r] for q in range(n)) for r in range(n)] for p in range(n)]
     return coeffs
 
 

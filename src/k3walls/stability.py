@@ -38,28 +38,27 @@ def _positive_eps(eps) -> Fraction:
 
 @dataclass(frozen=True)
 class StabilityParams:
-    """Surface data together with the slice parameter eps > 0."""
+    """Surface data together with the slice parameter eps > 0.
+
+    With H_eps = E + eps*H, construction also sets three plain attributes,
+    which are not fields (equality, hashing and repr see surface and eps
+    alone):
+
+    - h_eps_square = (E + eps*H)^2 = 2*eps*k + eps^2*(2g-2);
+    - h_dot_h_eps = H.H_eps = k + eps*(2g-2);
+    - e_dot_h_eps = E.H_eps = eps*k.
+    """
 
     surface: SurfaceParams
     eps: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "eps", _positive_eps(self.eps))
-
-    @property
-    def h_eps_square(self) -> Fraction:
-        """(E + eps*H)^2 = 2*eps*k + eps^2*(2g-2)."""
+        eps = _positive_eps(self.eps)
         g, k = self.surface.g, self.surface.k
-        return 2 * self.eps * k + self.eps * self.eps * (2 * g - 2)
-
-    @property
-    def h_dot_h_eps(self) -> Fraction:
-        g, k = self.surface.g, self.surface.k
-        return k + self.eps * (2 * g - 2)
-
-    @property
-    def e_dot_h_eps(self) -> Fraction:
-        return self.eps * self.surface.k
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "h_eps_square", 2 * eps * k + eps * eps * (2 * g - 2))
+        object.__setattr__(self, "h_dot_h_eps", k + eps * (2 * g - 2))
+        object.__setattr__(self, "e_dot_h_eps", eps * k)
 
     def pic_dot_h_eps(self, x: int, y: int) -> Fraction:
         """(x*H + y*E).H_eps."""
@@ -196,23 +195,27 @@ def lemma_key_scan(
 
     Looks for (r, t*H + q*E, s) with |r|,|t|,|q|,|s| <= box, -rs <= m,
     0 <= (tH+qE).H_eps <= H.H_eps and discriminant >= -2, whose H-coefficient
-    t lies outside {0, 1}.  For eps below eps_m no such class should exist;
-    any hits are returned for inspection.
+    t lies outside {0, 1}.  The band is linear in q, so for each t only the
+    q of the band's interval, cut to [-box, box], are visited.  For eps below
+    eps_m no such class should exist; any hits are returned for inspection,
+    ordered by t, then q, r and s.
     """
     eps = _positive_eps(eps)
     g, k = params.g, params.k
-    # integer form of the band 0 <= (tH+qE).H_eps <= H.H_eps, scaled by denominator(eps)
+    # integer form of the band 0 <= (tH+qE).H_eps <= H.H_eps, scaled by denominator(eps):
+    # 0 <= base + a*k*q <= band_hi, increasing in q since a, k > 0
     a, b = eps.numerator, eps.denominator
     band_hi = b * k + a * (2 * g - 2)
+    step = a * k
     violations = []
     for t in range(-box, box + 1):
         if t in (0, 1):
             continue
         d_no_q = t * t * (2 * g - 2)
-        for q in range(-box, box + 1):
-            band = b * t * k + a * (t * (2 * g - 2) + q * k)
-            if not 0 <= band <= band_hi:
-                continue
+        base = b * t * k + a * t * (2 * g - 2)
+        q_lo = max(-box, -(base // step))  # ceil(-base/step)
+        q_hi = min(box, (band_hi - base) // step)
+        for q in range(q_lo, q_hi + 1):
             c1sq = d_no_q + 2 * t * q * k
             # any hit needs rs in [-m, (c1^2+2)/2]; an empty interval rules the
             # whole (r, s) square out, so only then is the inner loop skipped

@@ -28,30 +28,38 @@ class StabilityType:
     """Ordered pairs (e_i, m_i), strictly decreasing e, positive m; possibly empty.
 
     pairs is a tuple of 2-tuples of plain ints; nothing is coerced.
+    Construction also sets sum_m = sum m_i and sum_me = sum m_i*e_i, plain
+    attributes rather than fields, which every per-type sum below reads.
     """
 
     pairs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         pairs = self.pairs
-        entries_ok = type(pairs) is tuple and all(
-            type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int
-            and pair[0] >= 0 and pair[1] > 0
-            for pair in pairs
-        )
-        if not entries_ok or any(a[0] <= b[0] for a, b in zip(pairs, pairs[1:])):
+        if type(pairs) is not tuple:
             raise DomainError("ill-formed type", code="ill_formed_type")
+        sum_m = sum_me = 0
+        for i, pair in enumerate(pairs):
+            if not (
+                type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int
+                and pair[0] >= 0 and pair[1] > 0 and (i == 0 or pairs[i - 1][0] > pair[0])
+            ):
+                raise DomainError("ill-formed type", code="ill_formed_type")
+            sum_m += pair[1]
+            sum_me += pair[1] * pair[0]
+        object.__setattr__(self, "sum_m", sum_m)
+        object.__setattr__(self, "sum_me", sum_me)
 
     @property
     def p(self) -> int:
         return len(self.pairs)
 
     def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.pairs)
+        return self.sum_m
 
     def weighted_sections(self) -> int:
         """sum of m_i*(e_i+1), the sections contributed by the subobjects."""
-        return sum(m * (e + 1) for e, m in self.pairs)
+        return self.sum_me + self.sum_m
 
     def sort_key(self) -> tuple:
         return (self.p,) + tuple(x for pair in self.pairs for x in pair)
@@ -104,7 +112,7 @@ def validate_type(t: StabilityType, r: int, refined: bool = False) -> bool:
         if t.p == 1 and e1 >= 1:
             bound = 2 * m1
         else:
-            bound = 2 * sum(m for _, m in t.pairs[:-1]) + t.pairs[-1][1]
+            bound = 2 * t.sum_m - t.pairs[-1][1]
         if bound > r + 1:
             return False
     return True
@@ -125,8 +133,7 @@ def _residual_square(params: SurfaceParams, v: MukaiVector, sum_m: int, sum_me: 
 
 def passes_square_filter(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> bool:
     """Whether the residual vector of t has square >= -2; below that t is empty."""
-    sum_me = sum(m * e for e, m in t.pairs)
-    return _residual_square(params, v, t.total_multiplicity(), sum_me) >= -2
+    return _residual_square(params, v, t.sum_m, t.sum_me) >= -2
 
 
 @dataclass(frozen=True)
@@ -183,11 +190,7 @@ def stratum_dimension(params: SurfaceParams, v: MukaiVector, t: StabilityType) -
     S = sum m_i*e_i, the running quotient is v - (M, 0, S, M), and its pairing
     with u_j is x*e_j*k - r0 - s + 2M for v = (r0, x, y, s).
     """
-    sum_m = sum_me = 0
-    for e, m in t.pairs:
-        sum_m += m
-        sum_me += m * e
-    return _dimension(params, v, sum_m, sum_me)
+    return _dimension(params, v, t.sum_m, t.sum_me)
 
 
 @dataclass(frozen=True)

@@ -169,25 +169,29 @@ def check_strata_dimension_identity(max_g, max_k):
 
 
 def check_strata_dimension_bounds(max_g, max_k):
-    types = [strata.enumerate_types(r).items for r in range(5)]
+    # a type's ell and whether it is saturated depend on r alone
+    types = [
+        [(t, strata.ell_value(t, r), t.weighted_sections() == r + 1) for t in strata.enumerate_types(r).items]
+        for r in range(5)
+    ]
     for g in range(3, min(max_g, 9) + 1):
         for k in range(2, min(max_k, 5) + 1):
             params = lattice.SurfaceParams(g, k)
             for d in range(1, g):
                 v = _vector_for(g, d)
                 for r in range(0, 5):
+                    bounds = [g + hbn.rho(g, r - ell, d) - ell * k for ell in range(r + 1)]
                     least: dict[int, int] = {}
                     largest: dict[int, int] = {}
                     saturated: dict[int, int] = {}  # every saturated dim equals the bound
-                    for t in types[r]:
-                        ell = strata.ell_value(t, r)
-                        bound = g + hbn.rho(g, r - ell, d) - ell * k
+                    for t, ell, is_saturated in types[r]:
+                        bound = bounds[ell]
                         dim = strata.stratum_dimension(params, v, t)
                         if dim > bound:
                             raise CheckFailed(
                                 f"dim {dim} > bound {bound} for {t.to_list()} at ({g},{k},{d},{r})"
                             )
-                        if t.weighted_sections() == r + 1:
+                        if is_saturated:
                             if dim != bound:
                                 raise CheckFailed(
                                     f"saturated type misses bound for {t.to_list()} at ({g},{k},{d},{r})"

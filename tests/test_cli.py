@@ -226,6 +226,59 @@ def test_exit_code_on_bad_rational(capsys):
     assert payload(out)["error"]["code"] == "bad_rational"
 
 
+def test_rho_k_huge_rank_answers_at_once(capsys):
+    # the maximum sits at the clamped vertex; no list of r+1 values is built
+    r = 10**20
+    code, out, _ = run_cli(capsys, "rho-k", "--g", "5", "--k", "2", "--r", str(r), "--d", "3")
+    assert code == 0
+    assert payload(out)["result"] == {"rho_k": -2 * r + 3, "argmax_ell": [r]}
+
+
+ABOVE = str(2**996)  # the least integer past the input bound
+HUGE = "1" + "0" * 2500  # a product of two of these has about 5,000 digits
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["rho", "--g", "1", "--r", HUGE, "--d", "1"], "bad_usage"),
+        (["rho", "--g", "1", "--r", ABOVE, "--d", "1"], "bad_usage"),
+        (["rho", "--g", "1", "--r", "1" + "0" * 5000, "--d", "1"], "bad_usage"),
+        (["verify", "--max-g", ABOVE], "bad_usage"),
+        (["plot-walls", "--g", "3", "--k", "2", "--v", "0,1,0,-1", "--viewport=1e5000,1e4000,0,1"],
+         "bad_viewport"),
+        (["plot-walls", "--g", "3", "--k", "2", "--v", "0,1,0,-1", f"--viewport=0,1,0,1/{ABOVE}"],
+         "bad_viewport"),
+        (["walls", "--g", "3", "--k", "2", "--v", "0,1,0,-1", "--type", "[[1,1]]", "--eps", f"1/{ABOVE}"],
+         "bad_eps"),
+        (["walls", "--g", "3", "--k", "2", "--v", f"0,1,0,-{ABOVE}", "--type", "[[1,1]]"], "bad_vector"),
+        (["walls", "--g", "3", "--k", "2", "--v", "0,1,0,-1", "--type", f"[[{ABOVE},1]]"], "bad_type"),
+        (["walls", "--g", "3", "--k", "2", "--v", "0,1,0,-1", "--type", f"[[1{'0' * 5000},1]]"], "bad_type"),
+    ],
+    ids=["rho", "rho_just_above", "rho_past_str_limit", "verify", "viewport", "viewport_denominator",
+         "eps", "vector", "type", "type_past_str_limit"],
+)
+def test_integer_inputs_are_bounded(capsys, tmp_path, argv, error):
+    # an input integer past 996 bits (300 digits) is refused where it is parsed,
+    # before any result that could pass the 4,300-digit int-to-str limit is printed
+    if argv[0] == "plot-walls":
+        argv = argv + ["--out", str(tmp_path / "x.svg")]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 1
+    assert payload(out)["error"]["code"] == error
+
+
+def test_integer_inputs_at_the_bound_print(capsys):
+    # the largest inputs allowed: the wall position with the default eps has
+    # about ten times their digits, and still prints
+    top = str(2**996 - 1)
+    code, out, _ = run_cli(
+        capsys, "walls", "--g", top, "--k", top, "--v", f"0,1,-{top},-{top}", "--type", f"[[{top},1]]",
+    )
+    assert code == 0
+    assert len(payload(out)["result"]["walls"][0]["w"]) > 2500
+
+
 def test_exit_code_on_domain_error(capsys):
     code, out, _ = run_cli(capsys, "chain", "--g", "4", "--k", "2", "--r", "1", "--d", "3")
     assert code == 1
@@ -382,10 +435,12 @@ def test_plot_walls_bad_viewport(capsys, tmp_path, viewport):
 
 # ------------------------------------------------------------ CLI contract
 
-# tokens any text option may get, most of them malformed for it
+# tokens any text option may get, most of them malformed for it; the last
+# ones hold integers past the input bound
 TEXT = st.sampled_from(
     ["-1/2", "1e-400", "x", "{}", "[[1,1]]", "[[1e400,1]]", "", "0", "1/0",
-     "0,1,0,-1", "-1,1,0,1e-400", "all"]
+     "0,1,0,-1", "-1,1,0,1e-400", "all",
+     ABOVE, HUGE, f"1/{ABOVE}", f"0,1,0,-{ABOVE}", f"[[{ABOVE},1]]", "1e5000,1e4000,0,1"]
 )
 
 

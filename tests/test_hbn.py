@@ -32,14 +32,21 @@ def test_rho_k_values():
         rho_k(5, 2, -1, 3)
 
 
+def rho_k_by_list(g, k, r, d):
+    """rho_k over the list of all r+1 values: the reference for the two-point rho_k."""
+    values = [rho(g, r - ell, d) - ell * k for ell in range(r + 1)]
+    best = max(values)
+    return best, [ell for ell, v in enumerate(values) if v == best]
+
+
 def test_rho_k_brute_force():
-    # independent maximization, kept apart from the library path
-    for g in range(1, 12):
-        for k in range(2, 7):
-            for r in range(0, 5):
-                for d in range(0, g):
-                    expected = max(rho(g, r - ell, d) - ell * k for ell in range(r + 1))
-                    assert rho_k(g, k, r, d)[0] == expected
+    # independent maximization, kept apart from the library path; the grid
+    # reaches vertices below 0, above r and at half-integers
+    for g in range(-3, 31):
+        for k in range(2, 10):
+            for r in range(0, 15):
+                for d in range(-5, g + 8):
+                    assert rho_k(g, k, r, d) == rho_k_by_list(g, k, r, d), (g, k, r, d)
 
 
 @given(st.integers(1, 25), st.integers(2, 8), st.integers(0, 6), st.integers(0, 24))

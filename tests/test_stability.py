@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import dataclasses
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -49,6 +51,19 @@ def test_derived_quantities():
     assert SP.h_eps_square == Fraction(11, 25)
     assert SP.h_dot_h_eps == Fraction(12, 5)
     assert SP.e_dot_h_eps == Fraction(1, 5)
+
+
+@given(st.integers(3, 40), st.integers(2, 12), st.fractions(min_value=0, max_value=50).filter(bool))
+def test_derived_quantities_match_formulas(g, k, eps):
+    sp = StabilityParams(SurfaceParams(g, k), eps)
+    assert sp.h_eps_square == 2 * eps * k + eps * eps * (2 * g - 2)
+    assert sp.h_dot_h_eps == k + eps * (2 * g - 2)
+    assert sp.e_dot_h_eps == eps * k
+    # they are attributes, not fields: equality, hashing and repr see surface and eps alone
+    assert [f.name for f in dataclasses.fields(sp)] == ["surface", "eps"]
+    twin = StabilityParams(SurfaceParams(g, k), Fraction(eps))
+    assert sp == twin and hash(sp) == hash(twin)
+    assert repr(sp) == f"StabilityParams(surface={SurfaceParams(g, k)!r}, eps={eps!r})"
 
 
 def test_central_charge_examples():
@@ -183,3 +198,38 @@ def test_lemma_key_scan_sees_violations_above_threshold():
     hits = lemma_key_scan(P32, 4, Fraction(3), box=6)
     assert hits, "expected the scan to find classes at a huge eps"
     assert all(t not in (0, 1) for _, t, _, _ in hits)
+
+
+def lemma_key_scan_all_q(params, m, eps, box):
+    """The scan of the definition, every q tested against the band: the reference
+    for lemma_key_scan, which visits only the q of the band's interval."""
+    g, k = params.g, params.k
+    a, b = eps.numerator, eps.denominator
+    band_hi = b * k + a * (2 * g - 2)
+    violations = []
+    for t in range(-box, box + 1):
+        if t in (0, 1):
+            continue
+        for q in range(-box, box + 1):
+            if not 0 <= b * t * k + a * (t * (2 * g - 2) + q * k) <= band_hi:
+                continue
+            c1sq = t * t * (2 * g - 2) + 2 * t * q * k
+            for r in range(-box, box + 1):
+                for s in range(-box, box + 1):
+                    if -r * s <= m and c1sq - 2 * r * s >= -2:
+                        violations.append((r, t, q, s))
+    return violations
+
+
+def test_lemma_key_scan_matches_all_q_reference():
+    eps_values = [Fraction(n, d) for n, d in ((1, 10), (1, 3), (1, 2), (3, 4), (1, 1), (3, 2), (2, 1), (5, 2))]
+    hits = 0
+    for g in range(3, 12):
+        for k in range(2, 7):
+            params = SurfaceParams(g, k)
+            for m in range(8):
+                for eps in eps_values:
+                    got = lemma_key_scan(params, m, eps, box=6)
+                    assert got == lemma_key_scan_all_q(params, m, eps, 6), (g, k, m, eps)
+                    hits += len(got)
+    assert hits == 4516  # the grid has hits, so their order is compared too

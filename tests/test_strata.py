@@ -53,6 +53,36 @@ def type_table():
     return {r: enumerate_types(r).items for r in range(-1, 9)}
 
 
+def test_type_sums_match_pairs(type_table):
+    # every type up to r = 8, plain and refined: the sums kept at construction
+    # against sums recomputed from the pairs
+    refined = [enumerate_types(r, refined=True).items for r in range(-1, 9)]
+    for t in [t for items in type_table.values() for t in items] + [t for items in refined for t in items]:
+        assert t.sum_m == t.total_multiplicity() == sum(m for _, m in t.pairs)
+        assert t.sum_me == sum(m * e for e, m in t.pairs)
+        assert t.weighted_sections() == sum(m * (e + 1) for e, m in t.pairs)
+
+
+def validate_type_reference(t, r, refined):
+    """validate_type with every sum recomputed from the pairs."""
+    if not t.pairs:
+        return r == -1
+    (e1, m1), ms = t.pairs[0], [m for _, m in t.pairs]
+    if not sum(ms) <= r + 1 <= sum(m * (e + 1) for e, m in t.pairs) or m1 * (e1 + 1) > r + 1:
+        return False
+    if refined:
+        bound = 2 * m1 if len(ms) == 1 and e1 >= 1 else 2 * sum(ms[:-1]) + ms[-1]
+        return bound <= r + 1
+    return True
+
+
+def test_validate_type_matches_reference(type_table):
+    for t in type_table[-1] + type_table[6]:
+        for r in range(-1, 9):
+            for refined in (False, True):
+                assert validate_type(t, r, refined) == validate_type_reference(t, r, refined), (t, r)
+
+
 def test_type_validation():
     with pytest.raises(DomainError, match="ill-formed"):
         mk((0, 2), (1, 1))
