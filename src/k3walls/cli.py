@@ -249,7 +249,7 @@ def _cmd_chain(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = verify.run_checks(args.suite, args.max_g, args.max_k)
+    results = verify.run_checks(args.suite, args.max_g, args.max_k, args.processes)
     passed = sum(res.ok for res in results)
     result = {
         "suite": args.suite,
@@ -381,6 +381,8 @@ def main(argv=None) -> int:
         except SystemExit as exc:  # only --help exits; error() raises DomainError
             return exc.code
         _check_int_flags(args)
+        # only the process k3walls owns (no argv given) forks verify workers
+        args.processes = verify.available_cpus() if argv is None else 1
         return args.fn(args)
     except tuple(ERRORS) as exc:
         code, status = next(entry for kind, entry in ERRORS.items() if isinstance(exc, kind))

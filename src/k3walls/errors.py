@@ -21,9 +21,9 @@ class OracleViolation(RuntimeError):
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """A backtracking search ran out of its node budget before finishing."""
+    """A search ran out of its budget (of nodes, or of the items it counts) before finishing."""
 
-    def __init__(self, budget, nodes):
-        super().__init__(f"search budget exhausted: {nodes} nodes > limit {budget}")
+    def __init__(self, budget, nodes, unit="nodes"):
+        super().__init__(f"search budget exhausted: {nodes} {unit} > limit {budget}")
         self.budget = budget
         self.nodes = nodes

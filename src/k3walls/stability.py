@@ -67,8 +67,14 @@ class StabilityParams:
 
 @dataclass(frozen=True)
 class StabilityPoint:
+    """A point (b, w) of the stability plane; construction makes b and w Fractions."""
+
     b: Fraction
     w: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "b", Fraction(self.b))
+        object.__setattr__(self, "w", Fraction(self.w))
 
 
 @dataclass(frozen=True)
@@ -95,8 +101,8 @@ class WallPoint:
 def central_charge(sp: StabilityParams, pt: StabilityPoint, v: MukaiVector) -> tuple[Fraction, Fraction]:
     """(Re Z, Im Z) at (b, w): Re = -ch2 + w*ch0*H_eps^2, Im = ch1.H_eps - b*ch0*H_eps^2."""
     a = sp.h_eps_square
-    re = -v.ch2 + Fraction(pt.w) * v.r * a
-    im = sp.pic_dot_h_eps(v.x, v.y) - Fraction(pt.b) * v.r * a
+    re = -v.ch2 + pt.w * v.r * a
+    im = sp.pic_dot_h_eps(v.x, v.y) - pt.b * v.r * a
     return re, im
 
 

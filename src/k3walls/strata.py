@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, SearchBudgetExceeded
 from .hbn import ell_decompose
 from .lattice import (
     MukaiVector,
@@ -141,11 +141,17 @@ class TypeEnumeration:
     items: tuple[StabilityType, ...]
 
 
+#: The most types enumerate_types lists: r = 10 has 353,657, r = 11 has
+#: 1,356,616 (plain; refined r = 11 has 25,139).
+MAX_TYPES = 400_000
+
+
 def enumerate_types(r: int, refined: bool = False) -> TypeEnumeration:
     """All types passing validate_type for this r, canonically sorted.
 
     The constraints involve r alone, so the table serves every surface and
-    vector.  The enumeration is finite: e_1 <= r and p <= r+1.
+    vector.  The enumeration is finite: e_1 <= r and p <= r+1.  Past
+    MAX_TYPES types it raises SearchBudgetExceeded.
     """
     _check_section_count(r)
     found: list[StabilityType] = []
@@ -155,6 +161,8 @@ def enumerate_types(r: int, refined: bool = False) -> TypeEnumeration:
             t = StabilityType(tuple(prefix))
             if validate_type(t, r, refined=refined):
                 found.append(t)
+                if len(found) > MAX_TYPES:
+                    raise SearchBudgetExceeded(MAX_TYPES, len(found), "types")
         for e in range(e_max, -1, -1):
             for m in range(1, budget + 1):
                 if not prefix and m * (e + 1) > r + 1:
@@ -319,7 +327,13 @@ def balanced_nonempty(
     data = _balanced_case(v, t)
     if data is None:
         raise DomainError(f"no balanced verdict for type {t.to_list()} of {v}", code="not_balanced")
-    e, m1, m2 = data
+    return _balanced_verdict(params, v, *data)
+
+
+def _balanced_verdict(
+    params: SurfaceParams, v: MukaiVector, e: int, m1: int, m2: int
+) -> NonemptinessVerdict:
+    """balanced_nonempty for the data (e, m1, m2) that _balanced_case returned."""
     v2 = v - m1 * line_bundle_vector(e + 1) - m2 * line_bundle_vector(e)
     sq = square(params, v2)
     if sq < -2:
@@ -340,8 +354,9 @@ def type_verdict(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> Ver
     is empty by necessity when it fails the square filter, which tests the
     square balanced_nonempty tests too, and unknown otherwise.
     """
-    if _balanced_case(v, t) is not None:
-        return balanced_nonempty(params, v, t).verdict
+    data = _balanced_case(v, t)
+    if data is not None:
+        return _balanced_verdict(params, v, *data).verdict
     if not passes_square_filter(params, v, t):
         return Verdict.EMPTY_BY_NECESSITY
     return Verdict.UNKNOWN

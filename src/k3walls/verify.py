@@ -5,12 +5,16 @@ its pass detail and raises ``CheckFailed`` on a counterexample.  Checks
 are grouped by the module whose invariants they exercise.  Defining
 ``check_<suite>_<rest>`` registers it: ``CHECKS[<suite>]`` lists them in
 definition order, and it reports under the name ``<suite>.<rest>``.
-``run_checks`` runs a set of suites one check after another and returns
-results in canonical name order.
+``run_checks`` runs a set of suites and returns results in canonical name
+order.  By default it runs them one after another in the calling process;
+asked for more processes, it also runs them in forked workers, with the same
+results.
 """
 
 from __future__ import annotations
 
+import json
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -431,8 +435,12 @@ CHECKS = {
 }
 
 
+def _check_name(fn) -> str:
+    return fn.__name__.removeprefix("check_").replace("_", ".", 1)
+
+
 def _guarded(fn, max_g, max_k) -> CheckResult:
-    name = fn.__name__.removeprefix("check_").replace("_", ".", 1)
+    name = _check_name(fn)
     try:
         return CheckResult(name, True, fn(max_g, max_k))
     except CheckFailed as exc:
@@ -441,11 +449,83 @@ def _guarded(fn, max_g, max_k) -> CheckResult:
         return CheckResult(name, False, f"raised {type(exc).__name__}: {exc}")
 
 
-def run_checks(suite: str, max_g: int, max_k: int) -> list[CheckResult]:
-    """Run one suite (or "all"), one check after another; canonical name order.
+def available_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _taken(tasks: int):
+    """Check indices read from the pipe ``tasks``, one byte each, until it is empty."""
+    while index := os.read(tasks, 1):  # a one-byte read is atomic: each index goes to one reader
+        yield index[0]
+
+
+def _run_forked(selected: list, max_g: int, max_k: int, processes: int) -> list[CheckResult]:
+    """Run the checks in this process and in processes - 1 forked workers.
+
+    Every process takes check indices from one pipe, one byte each (so at
+    most 256 checks), and the work balances as it runs.  A worker writes
+    JSON lines to a pipe of its own: [i] when it takes check i, then
+    [i, ok, detail].  A check that no process reports, because its worker
+    died, fails with that worker's exit status.
+    """
+    tasks, feed = os.pipe()
+    os.write(feed, bytes(range(len(selected))))
+    os.close(feed)
+    workers = {}  # pid -> read end of its result pipe
+    for _ in range(processes - 1):
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no process to spare: those already running share the checks
+            os.close(read_end)
+            os.close(write_end)
+            break
+        if pid == 0:
+            status = 1
+            try:
+                with open(write_end, "w") as out:
+                    for i in _taken(tasks):
+                        print(json.dumps([i]), file=out, flush=True)
+                        res = _guarded(selected[i], max_g, max_k)
+                        print(json.dumps([i, res.ok, res.detail]), file=out, flush=True)
+                status = 0
+            finally:
+                os._exit(status)  # never flush the inherited stdio or return into the caller
+        os.close(write_end)
+        workers[pid] = read_end
+    results = {i: _guarded(selected[i], max_g, max_k) for i in _taken(tasks)}
+    os.close(tasks)
+    lost: dict[int, int] = {}  # check index -> exit status of the worker that took it
+    failed_status = None
+    for pid, read_end in workers.items():
+        with open(read_end) as lines:
+            records = [json.loads(line) for line in lines if line.endswith("\n")]
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status:
+            failed_status = status
+        for i, *outcome in records:
+            if outcome:
+                results[i] = CheckResult(_check_name(selected[i]), *outcome)
+            else:
+                lost[i] = status
+    return [
+        results.get(i) or CheckResult(
+            _check_name(fn), False, f"worker exited with status {lost.get(i, failed_status)}"
+        )
+        for i, fn in enumerate(selected)
+    ]
+
+
+def run_checks(suite: str, max_g: int, max_k: int, processes: int = 1) -> list[CheckResult]:
+    """Run one suite (or "all"); canonical name order.
 
     The grid's largest surface must exist (g >= 3, k >= 2), so that no check
-    passes on an empty grid.
+    passes on an empty grid.  With processes > 1, where the OS can fork,
+    up to that many processes, this one included, share the checks; the
+    results are the same as one after another in this process.
     """
     lattice.SurfaceParams(max_g, max_k)
     if suite == "all":
@@ -454,5 +534,9 @@ def run_checks(suite: str, max_g: int, max_k: int) -> list[CheckResult]:
         selected = list(CHECKS[suite])
     else:
         raise DomainError(f"unknown suite {suite!r}", code="unknown_suite")
-    results = [_guarded(fn, max_g, max_k) for fn in selected]
+    processes = min(processes, len(selected))
+    if processes > 1 and hasattr(os, "fork"):
+        results = _run_forked(selected, max_g, max_k, processes)
+    else:
+        results = [_guarded(fn, max_g, max_k) for fn in selected]
     return sorted(results, key=lambda res: res.name)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3walls import verify
+from k3walls import strata, verify
 from k3walls.cli import main
 
 
@@ -112,6 +112,20 @@ def test_types_command(capsys):
     assert ells == [0, 1, 0]
     verdicts = [item["verdict"] for item in result["items"]]
     assert verdicts == ["empty_by_necessity", "non_empty", "empty_by_necessity"]
+
+
+def test_types_budget(capsys, monkeypatch):
+    # r = 10, the largest table that prints, has 353,657 types; r = 12 ran away
+    assert strata.MAX_TYPES >= 353_657
+    monkeypatch.setattr(strata, "MAX_TYPES", 100)
+    argv = ["types", "--g", "6", "--k", "2", "--v", "0,1,0,0", "--r", "12"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert payload(out)["error"]["code"] == "budget_exhausted"
+    assert "101 types > limit 100" in err
+    code, out, _ = run_cli(capsys, *argv[:-1], "3")  # 35 types
+    assert code == 0
+    assert len(payload(out)["result"]["items"]) == 35
 
 
 @pytest.mark.parametrize(

@@ -66,6 +66,17 @@ def test_derived_quantities_match_formulas(g, k, eps):
     assert repr(sp) == f"StabilityParams(surface={SurfaceParams(g, k)!r}, eps={eps!r})"
 
 
+def test_point_coordinates_are_fractions():
+    pt = StabilityPoint(-1, 2)
+    assert type(pt.b) is Fraction and type(pt.w) is Fraction
+    assert pt == StabilityPoint(Fraction(-1), Fraction(2))
+    assert central_charge(SP, pt, O_X) == central_charge(SP, StabilityPoint(Fraction(-1), Fraction(2)), O_X)
+    # built from Fractions, a point compares, hashes and prints as before
+    twin = StabilityPoint(Fraction(1, 2), Fraction(3))
+    assert twin == StabilityPoint(Fraction(1, 2), Fraction(3)) and hash(twin) == hash((Fraction(1, 2), Fraction(3)))
+    assert repr(twin) == "StabilityPoint(b=Fraction(1, 2), w=Fraction(3, 1))"
+
+
 def test_central_charge_examples():
     pt = StabilityPoint(Fraction(0), Fraction(1))
     assert central_charge(SP, pt, O_X) == (Fraction(11, 25), Fraction(0))

@@ -31,6 +31,8 @@ from k3walls import (
     wall_sequence,
 )
 from k3walls import strata, verify
+from k3walls.errors import SearchBudgetExceeded
+from k3walls.lattice import check_special_shape
 
 P52 = SurfaceParams(5, 2)
 V53 = MukaiVector(0, 1, 0, -1)  # genus 5, degree 3
@@ -226,6 +228,33 @@ def test_balanced_nonempty_errors():
     for decide in (balanced_nonempty, type_verdict):
         with pytest.raises(DomainError, match="expected a vector of shape"):
             decide(P52, MukaiVector(0, 2, 0, -1), mk((0, 1)))  # not (r0, H - a0*E, s0 + r0)
+
+
+def test_type_verdict_checks_the_shape_once(monkeypatch):
+    # a balanced type is decided by the data of one _balanced_case call
+    calls = []
+
+    def spy(v):
+        calls.append(v)
+        return check_special_shape(v)
+
+    monkeypatch.setattr(strata, "check_special_shape", spy)
+    types = enumerate_types(3).items
+    verdicts = [type_verdict(P52, V53, t) for t in types]
+    assert len(calls) == len(types)
+    balanced = [(t, verdict) for t, verdict in zip(types, verdicts) if strata._balanced_case(V53, t)]
+    assert balanced
+    assert all(balanced_nonempty(P52, V53, t).verdict is verdict for t, verdict in balanced)
+
+
+def test_enumerate_types_budget(monkeypatch):
+    assert len(enumerate_types(5).items) == 473
+    monkeypatch.setattr(strata, "MAX_TYPES", 473)
+    assert len(enumerate_types(5).items) == 473
+    assert len(enumerate_types(6, refined=True).items) == 278  # refined: 278 types of 1,754 nodes
+    monkeypatch.setattr(strata, "MAX_TYPES", 472)
+    with pytest.raises(SearchBudgetExceeded, match="473 types > limit 472"):
+        enumerate_types(5)
 
 
 @pytest.mark.parametrize(
