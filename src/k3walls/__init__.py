@@ -57,7 +57,6 @@ from .strata import (
     passes_square_filter,
     stratum_dimension,
     type_verdict,
-    validate_type,
     wall_sequence,
 )
 from .tableaux import Tableau, is_valid, max_omitted, oracle_check

@@ -46,6 +46,8 @@ class RamificationSequence:
             )
 
     def validate(self, r: int, d: int) -> None:
+        if r < 0:
+            raise DomainError(f"need r >= 0, got {r}", code="bad_rank")
         a = self.alphas
         if len(a) != r + 1:
             raise DomainError(

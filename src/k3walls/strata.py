@@ -1,4 +1,4 @@
-"""Destabilization types: validation, enumeration, dimensions, non-emptiness.
+"""Destabilization types: enumeration, dimensions, non-emptiness.
 
 A type records how an object is successively destabilized by pencil powers
 (1, e_i*E, 1) as the stability parameter descends: an ordered list of pairs
@@ -54,9 +54,6 @@ class StabilityType:
     def p(self) -> int:
         return len(self.pairs)
 
-    def total_multiplicity(self) -> int:
-        return self.sum_m
-
     def weighted_sections(self) -> int:
         """sum of m_i*(e_i+1), the sections contributed by the subobjects."""
         return self.sum_me + self.sum_m
@@ -84,38 +81,13 @@ class StabilityType:
 
 def ell_value(t: StabilityType, r: int) -> int:
     """The derived index ell = r + 1 - sum(m_i)."""
-    return r + 1 - t.total_multiplicity()
+    return r + 1 - t.sum_m
 
 
 def _check_section_count(r: int) -> None:
     """r = -1 (no sections, the empty type) is the least section count."""
     if r < -1:
         raise DomainError(f"r must be >= -1, got {r}", code="bad_rank")
-
-
-def validate_type(t: StabilityType, r: int, refined: bool = False) -> bool:
-    """Check the section-count constraints of a type against r.
-
-    Plain constraints: sum(m_i) <= r+1 <= sum(m_i*(e_i+1)) and
-    m_1*(e_1+1) <= r+1.  The refined variant additionally requires
-    2*(m_1+...+m_{p-1}) + m_p <= r+1, strengthened to 2*m_1 <= r+1 for a
-    single pair with e_1 >= 1.  The empty type is valid exactly for r = -1.
-    """
-    if t.p == 0:
-        return r == -1
-    e1, m1 = t.pairs[0]
-    if not (t.total_multiplicity() <= r + 1 <= t.weighted_sections()):
-        return False
-    if m1 * (e1 + 1) > r + 1:
-        return False
-    if refined:
-        if t.p == 1 and e1 >= 1:
-            bound = 2 * m1
-        else:
-            bound = 2 * t.sum_m - t.pairs[-1][1]
-        if bound > r + 1:
-            return False
-    return True
 
 
 def _residual_square(params: SurfaceParams, v: MukaiVector, sum_m: int, sum_me: int) -> int:
@@ -146,35 +118,49 @@ class TypeEnumeration:
 MAX_TYPES = 400_000
 
 
-def enumerate_types(r: int, refined: bool = False) -> TypeEnumeration:
-    """All types passing validate_type for this r, canonically sorted.
+def _max_multiplicity(r: int, e: int, sum_m: int, refined: bool) -> int:
+    """The largest m a pair (e, m) may take after pairs whose multiplicities sum to sum_m.
 
-    The constraints involve r alone, so the table serves every surface and
-    vector.  The enumeration is finite: e_1 <= r and p <= r+1.  Past
-    MAX_TYPES types it raises SearchBudgetExceeded.
+    A first pair (sum_m = 0) needs m*(e+1) <= r+1; a later one needs
+    sum_m + m <= r+1, refined 2*sum_m + m <= r+1.  Both sides of each bound
+    only grow as pairs are added, so a prefix past a bound has no valid
+    extension.
+    """
+    if sum_m == 0:
+        return (r + 1) // (e + 1)
+    return r + 1 - (2 * sum_m if refined else sum_m)
+
+
+def enumerate_types(r: int, refined: bool = False) -> TypeEnumeration:
+    """All valid types of section count r, canonically sorted.
+
+    A type is valid when sum(m_i) <= r+1 <= sum(m_i*(e_i+1)) and
+    m_1*(e_1+1) <= r+1.  The refined variant also requires
+    2*(m_1+...+m_{p-1}) + m_p <= r+1, and 2*m_1 <= r+1 for a single pair
+    with e_1 >= 1, which m_1*(e_1+1) <= r+1 already implies.  The empty type
+    is valid exactly for r = -1.  The constraints involve r alone, so the
+    table serves every surface and vector.
+
+    A prefix is extended only within _max_multiplicity, which holds every
+    upper bound, and a type is built only for a prefix with
+    r+1 <= sum(m_i*(e_i+1)); so the search builds exactly the types it
+    lists, and past MAX_TYPES of them it raises SearchBudgetExceeded.
     """
     _check_section_count(r)
     found: list[StabilityType] = []
 
-    def extend(prefix: list[tuple[int, int]], e_max: int, budget: int) -> None:
-        if prefix:
-            t = StabilityType(tuple(prefix))
-            if validate_type(t, r, refined=refined):
-                found.append(t)
-                if len(found) > MAX_TYPES:
-                    raise SearchBudgetExceeded(MAX_TYPES, len(found), "types")
+    def extend(prefix: list[tuple[int, int]], e_max: int, sum_m: int, sections: int) -> None:
+        if sections > r:
+            found.append(StabilityType(tuple(prefix)))
+            if len(found) > MAX_TYPES:
+                raise SearchBudgetExceeded(MAX_TYPES, len(found), "types")
         for e in range(e_max, -1, -1):
-            for m in range(1, budget + 1):
-                if not prefix and m * (e + 1) > r + 1:
-                    continue
+            for m in range(1, _max_multiplicity(r, e, sum_m, refined) + 1):
                 prefix.append((e, m))
-                extend(prefix, e - 1, budget - m)
+                extend(prefix, e - 1, sum_m + m, sections + m * (e + 1))
                 prefix.pop()
 
-    if r == -1:
-        found.append(StabilityType())
-    else:
-        extend([], r, r + 1)
+    extend([], r, 0, 0)
     found.sort(key=StabilityType.sort_key)
     return TypeEnumeration(items=tuple(found))
 
@@ -217,25 +203,23 @@ class StratumExtremes:
 
 
 def _type_sums(r: int, refined: bool) -> dict[int, int]:
-    """Maps M to the set of S, as a bitmask, over the valid types of r >= 0 with sum(m) = M.
+    """Maps M to the set of S, as a bitmask, over the valid types of r with sum(m) = M.
 
-    Pairs are added in descending e, from e = r down to 0.  A state is keyed
-    by (M, P) and holds the reachable S as the bits of an integer, so adding
-    (e, m) shifts a whole set by m*e.  P is M before the last pair, which
-    only the refined constraints read (P = 0 exactly for a single pair);
-    plain states keep P = 0.  No transition leaves M > r+1, nor, refined,
-    2*(M - m_last) + m_last > r+1, because M and P never decrease.
+    Pairs are added in descending e, from e = r down to 0, starting from the
+    empty type.  A state is keyed by (M, P) and holds the reachable S as the
+    bits of an integer, so adding (e, m) shifts a whole set by m*e.  P is M
+    before the last pair, which only the refined constraints read (P = 0
+    exactly for a single pair); plain states keep P = 0.  Each transition
+    stays within _max_multiplicity, the bounds enumerate_types walks.
     """
     top = r + 1
-    reach: dict[tuple[int, int], int] = {}
+    reach = {(0, 0): 1}
     for e in range(r, -1, -1):
         grown = dict(reach)
         for (sum_m, _), mask in reach.items():
-            for m in range(1, top - (2 * sum_m if refined else sum_m) + 1):
+            for m in range(1, _max_multiplicity(r, e, sum_m, refined) + 1):
                 key = (sum_m + m, sum_m if refined else 0)
                 grown[key] = grown.get(key, 0) | mask << (m * e)
-        for m in range(1, top // (e + 1) + 1):  # a first pair: m*(e+1) <= r+1
-            grown[m, 0] = grown.get((m, 0), 0) | 1 << (m * e)
         reach = grown
     sums: dict[int, int] = {}
     for (sum_m, prefix), mask in reach.items():
@@ -258,7 +242,7 @@ def dimension_extremes(
     saturated types of one ell share S = r+1-M.
     """
     _check_section_count(r)
-    sums = {0: 1} if r == -1 else _type_sums(r, refined)
+    sums = _type_sums(r, refined)
     out = []
     for sum_m in sorted(sums, reverse=True):
         mask, ell = sums[sum_m], r + 1 - sum_m

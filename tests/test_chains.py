@@ -20,6 +20,9 @@ def seq(*alphas):
 def test_complement_examples():
     assert complement(1, 3, seq(1, 1)) == seq(1, 1)
     assert complement(1, 3, seq(0, 0)) == seq(2, 2)
+    with pytest.raises(DomainError) as info:
+        complement(-1, 3, seq())  # no entries to check
+    assert info.value.code == "bad_rank"
 
 
 def test_build_chain_boundary_value():

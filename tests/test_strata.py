@@ -27,7 +27,6 @@ from k3walls import (
     square,
     stratum_dimension,
     type_verdict,
-    validate_type,
     wall_sequence,
 )
 from k3walls import strata, verify
@@ -60,13 +59,13 @@ def test_type_sums_match_pairs(type_table):
     # against sums recomputed from the pairs
     refined = [enumerate_types(r, refined=True).items for r in range(-1, 9)]
     for t in [t for items in type_table.values() for t in items] + [t for items in refined for t in items]:
-        assert t.sum_m == t.total_multiplicity() == sum(m for _, m in t.pairs)
+        assert t.sum_m == sum(m for _, m in t.pairs)
         assert t.sum_me == sum(m * e for e, m in t.pairs)
         assert t.weighted_sections() == sum(m * (e + 1) for e, m in t.pairs)
 
 
 def validate_type_reference(t, r, refined):
-    """validate_type with every sum recomputed from the pairs."""
+    """Whether t is a valid type of r, every sum recomputed from the pairs (see enumerate_types)."""
     if not t.pairs:
         return r == -1
     (e1, m1), ms = t.pairs[0], [m for _, m in t.pairs]
@@ -78,11 +77,44 @@ def validate_type_reference(t, r, refined):
     return True
 
 
-def test_validate_type_matches_reference(type_table):
-    for t in type_table[-1] + type_table[6]:
-        for r in range(-1, 9):
-            for refined in (False, True):
-                assert validate_type(t, r, refined) == validate_type_reference(t, r, refined), (t, r)
+def type_universe(r):
+    """Every type with e_1 <= r and sum(m) <= r+1, a superset of both tables of r."""
+
+    def extend(prefix, e_max, budget):
+        yield StabilityType(tuple(prefix))
+        for e in range(e_max, -1, -1):
+            for m in range(1, budget + 1):
+                yield from extend(prefix + [(e, m)], e - 1, budget - m)
+
+    return extend([], r, r + 1)
+
+
+def test_enumerate_types_matches_reference():
+    # the pruned search against a filter over all candidate types
+    for r in range(-1, 7):
+        universe = list(type_universe(r))
+        for refined in (False, True):
+            expected = sorted(
+                (t for t in universe if validate_type_reference(t, r, refined)),
+                key=StabilityType.sort_key,
+            )
+            assert list(enumerate_types(r, refined).items) == expected, (r, refined)
+
+
+def test_enumerate_types_builds_only_what_it_lists(monkeypatch):
+    # no prefix that fails a bound is built, so MAX_TYPES bounds the work too
+    built = []
+    post_init = StabilityType.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(StabilityType, "__post_init__", counting)
+    for r, refined, listed in [(11, True, 25_139), (8, False, 24_457)]:
+        built.clear()
+        assert len(enumerate_types(r, refined).items) == listed
+        assert len(built) == listed, (r, refined)
 
 
 def test_type_validation():
@@ -138,17 +170,6 @@ def test_library_values_are_not_coerced(build, value, code):
     assert info.value.code == code
 
 
-def test_validate_type_examples():
-    t = mk((1, 1), (0, 1))
-    assert validate_type(t, 1) is True
-    assert validate_type(t, 1, refined=True) is False
-    assert validate_type(StabilityType(), -1) is True
-    assert validate_type(StabilityType(), 0) is False
-    assert validate_type(mk((0, 1)), 1) is False  # cannot carry two sections
-    assert validate_type(mk((1, 2)), 2) is False  # first pair m1*(e1+1) = 4 > r+1
-    assert validate_type(mk((1, 1)), -1) is False  # nonempty type, no sections
-
-
 def test_enumerate_types_examples():
     items = enumerate_types(1).items
     assert [t.to_list() for t in items] == [[[0, 2]], [[1, 1]], [[1, 1], [0, 1]]]
@@ -159,6 +180,11 @@ def test_enumerate_types_examples():
     assert len(empty) == 1 and empty[0].p == 0
     with pytest.raises(DomainError, match="r must be >= -1"):
         enumerate_types(-2)
+    assert mk((1, 1), (0, 1)) not in refined  # 2*m_1 + m_2 = 3 > r+1
+    assert StabilityType() not in enumerate_types(0).items
+    assert mk((1, 1)) not in empty  # nonempty type, no sections
+    assert mk((0, 1)) not in items  # cannot carry two sections
+    assert mk((1, 2)) not in enumerate_types(2).items  # first pair m1*(e1+1) = 4 > r+1
 
 
 def test_enumerate_types_canonical_order():
@@ -251,7 +277,7 @@ def test_enumerate_types_budget(monkeypatch):
     assert len(enumerate_types(5).items) == 473
     monkeypatch.setattr(strata, "MAX_TYPES", 473)
     assert len(enumerate_types(5).items) == 473
-    assert len(enumerate_types(6, refined=True).items) == 278  # refined: 278 types of 1,754 nodes
+    assert len(enumerate_types(6, refined=True).items) == 278
     monkeypatch.setattr(strata, "MAX_TYPES", 472)
     with pytest.raises(SearchBudgetExceeded, match="473 types > limit 472"):
         enumerate_types(5)
@@ -385,7 +411,7 @@ def test_dimension_extremes_match_enumeration(params, v, refined, type_table):
     for r in range(-1, 9):
         least, largest, saturated = {}, {}, {}
         for t in type_table[r]:
-            if not validate_type(t, r, refined=refined):
+            if not validate_type_reference(t, r, refined):
                 continue
             ell, dim = ell_value(t, r), stratum_dimension(params, v, t)
             least[ell] = min(dim, least.get(ell, dim))
