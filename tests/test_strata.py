@@ -180,11 +180,18 @@ def test_enumerate_types_examples():
     assert len(empty) == 1 and empty[0].p == 0
     with pytest.raises(DomainError, match="r must be >= -1"):
         enumerate_types(-2)
-    assert mk((1, 1), (0, 1)) not in refined  # 2*m_1 + m_2 = 3 > r+1
+
+
+def test_validate_type_examples():
+    # a type is valid for r exactly when it is in the table of r
+    t = mk((1, 1), (0, 1))
+    assert t in enumerate_types(1).items
+    assert t not in enumerate_types(1, refined=True).items  # 2*m_1 + m_2 = 3 > r+1
+    assert StabilityType() in enumerate_types(-1).items
     assert StabilityType() not in enumerate_types(0).items
-    assert mk((1, 1)) not in empty  # nonempty type, no sections
-    assert mk((0, 1)) not in items  # cannot carry two sections
+    assert mk((0, 1)) not in enumerate_types(1).items  # cannot carry two sections
     assert mk((1, 2)) not in enumerate_types(2).items  # first pair m1*(e1+1) = 4 > r+1
+    assert mk((1, 1)) not in enumerate_types(-1).items  # nonempty type, no sections
 
 
 def test_enumerate_types_canonical_order():
