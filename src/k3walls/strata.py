@@ -113,8 +113,9 @@ class TypeEnumeration:
     items: tuple[StabilityType, ...]
 
 
-#: The most types enumerate_types lists: r = 10 has 353,657, r = 11 has
-#: 1,356,616 (plain; refined r = 11 has 25,139).
+#: The most types enumerate_types lists (r = 10 has 353,657; r = 11 has
+#: 1,356,616, refined 25,139).  Its walk builds few prefixes that it does
+#: not list (139 at r = 10), so the bound caps the work at every r.
 MAX_TYPES = 400_000
 
 
@@ -141,26 +142,27 @@ def enumerate_types(r: int, refined: bool = False) -> TypeEnumeration:
     is valid exactly for r = -1.  The constraints involve r alone, so the
     table serves every surface and vector.
 
-    A prefix is extended only within _max_multiplicity, which holds every
-    upper bound, and a type is built only for a prefix with
-    r+1 <= sum(m_i*(e_i+1)); so the search builds exactly the types it
-    lists, and past MAX_TYPES of them it raises SearchBudgetExceeded.
+    The walk is the one _type_sums makes: for each e from r down to 0 it
+    extends every prefix so far by each (e, m) within _max_multiplicity,
+    which holds every upper bound.  It lists a prefix once
+    r+1 <= sum(m_i*(e_i+1)), raises SearchBudgetExceeded past MAX_TYPES
+    listed, and builds a type only for a listed prefix.
     """
     _check_section_count(r)
-    found: list[StabilityType] = []
-
-    def extend(prefix: list[tuple[int, int]], e_max: int, sum_m: int, sections: int) -> None:
-        if sections > r:
-            found.append(StabilityType(tuple(prefix)))
-            if len(found) > MAX_TYPES:
-                raise SearchBudgetExceeded(MAX_TYPES, len(found), "types")
-        for e in range(e_max, -1, -1):
+    prefixes = [((), 0, 0)]  # (pairs, sum m_i, sum m_i*(e_i+1))
+    listed = int(r < 0)  # the empty prefix
+    for e in range(r, -1, -1):
+        grown = []
+        for pairs, sum_m, sections in prefixes:
             for m in range(1, _max_multiplicity(r, e, sum_m, refined) + 1):
-                prefix.append((e, m))
-                extend(prefix, e - 1, sum_m + m, sections + m * (e + 1))
-                prefix.pop()
-
-    extend([], r, 0, 0)
+                total = sections + m * (e + 1)
+                if total > r:
+                    listed += 1
+                    if listed > MAX_TYPES:
+                        raise SearchBudgetExceeded(MAX_TYPES, listed, "types")
+                grown.append((pairs + ((e, m),), sum_m + m, total))
+        prefixes += grown
+    found = [StabilityType(pairs) for pairs, _, sections in prefixes if sections > r]
     found.sort(key=StabilityType.sort_key)
     return TypeEnumeration(items=tuple(found))
 
@@ -205,29 +207,24 @@ class StratumExtremes:
 def _type_sums(r: int, refined: bool) -> dict[int, int]:
     """Maps M to the set of S, as a bitmask, over the valid types of r with sum(m) = M.
 
-    Pairs are added in descending e, from e = r down to 0, starting from the
-    empty type.  A state is keyed by (M, P) and holds the reachable S as the
-    bits of an integer, so adding (e, m) shifts a whole set by m*e.  P is M
-    before the last pair, which only the refined constraints read (P = 0
-    exactly for a single pair); plain states keep P = 0.  Each transition
-    stays within _max_multiplicity, the bounds enumerate_types walks.
+    The walk of enumerate_types, merged by M: pairs are added in descending
+    e, from e = r down to 0, starting from the empty type, and a state holds
+    the reachable S as the bits of an integer, so adding (e, m) shifts a
+    whole set by m*e.  _max_multiplicity reads M alone, so the states of one
+    M have the same extensions.
     """
-    top = r + 1
-    reach = {(0, 0): 1}
+    reach = {0: 1}
     for e in range(r, -1, -1):
         grown = dict(reach)
-        for (sum_m, _), mask in reach.items():
+        for sum_m, mask in reach.items():
             for m in range(1, _max_multiplicity(r, e, sum_m, refined) + 1):
-                key = (sum_m + m, sum_m if refined else 0)
-                grown[key] = grown.get(key, 0) | mask << (m * e)
+                grown[sum_m + m] = grown.get(sum_m + m, 0) | mask << (m * e)
         reach = grown
     sums: dict[int, int] = {}
-    for (sum_m, prefix), mask in reach.items():
-        if refined and prefix == 0 and 2 * sum_m > top:
-            mask &= 1  # a single pair with e >= 1 needs 2*m <= r+1
-        mask &= -1 << (top - sum_m)  # r+1 <= S + M
+    for sum_m, mask in reach.items():
+        mask &= -1 << (r + 1 - sum_m)  # r+1 <= S + M
         if mask:
-            sums[sum_m] = sums.get(sum_m, 0) | mask
+            sums[sum_m] = mask
     return sums
 
 

@@ -49,6 +49,21 @@ def _grid_shape(g: int, r: int, d: int) -> tuple[int, int]:
     return r + 1, g - d + r
 
 
+#: The most cells a search fills.  The searches recurse once per cell, so
+#: the bound keeps them within Python's recursion limit, and it is checked
+#: before a grid is allocated.
+MAX_CELLS = 900
+
+
+def _search_shape(g: int, r: int, d: int) -> tuple[int, int]:
+    rows, cols = _grid_shape(g, r, d)
+    if rows * cols > MAX_CELLS:
+        raise DomainError(
+            f"the search fills at most {MAX_CELLS} cells, got {rows}x{cols}", code="bad_grid"
+        )
+    return rows, cols
+
+
 def is_valid(g: int, k: int, r: int, d: int, t: Tableau) -> bool:
     """Both displacement conditions, with every label in [1, g]."""
     rows, cols = _grid_shape(g, r, d)
@@ -96,7 +111,7 @@ def max_omitted(g: int, k: int, r: int, d: int, budget: Optional[int] = None) ->
     label order.  Infeasibility (no valid tableau at all) is an outcome, not
     an error; running out of ``budget`` nodes is an error.
     """
-    rows, cols = _grid_shape(g, r, d)
+    rows, cols = _search_shape(g, r, d)
     check_pencil_degree(k)
     if budget is not None and budget < 0:
         raise DomainError(f"budget must be >= 0, got {budget}", code="bad_budget")
@@ -150,7 +165,7 @@ def max_omitted(g: int, k: int, r: int, d: int, budget: Optional[int] = None) ->
 
 def max_omitted_naive(g: int, k: int, r: int, d: int) -> SearchResult:
     """Reference enumeration without pruning, for oracle-vs-oracle testing."""
-    rows, cols = _grid_shape(g, r, d)
+    rows, cols = _search_shape(g, r, d)
     check_pencil_degree(k)
     total = rows * cols
     grid = [[0] * cols for _ in range(rows)]

@@ -128,6 +128,23 @@ def test_types_budget(capsys, monkeypatch):
     assert len(payload(out)["result"]["items"]) == 35
 
 
+def test_types_budget_at_large_r(capsys):
+    # the real budget stops the walk at r = 900 as it does at r = 12
+    code, out, err = run_cli(capsys, "types", "--g", "6", "--k", "2", "--v", "0,1,0,0", "--r", "900")
+    assert code == 1
+    assert out.count("\n") == 1
+    assert payload(out)["error"]["code"] == "budget_exhausted"
+    assert "400001 types > limit 400000" in err
+
+
+@pytest.mark.parametrize("g", ["990", str(10**50)])
+def test_tableaux_grid_too_large(capsys, g):
+    # a grid past tableaux.MAX_CELLS is refused before the search allocates it
+    code, out, _ = run_cli(capsys, "tableaux", "--g", g, "--k", "2", "--r", "0", "--d", "0")
+    assert code == 1
+    assert payload(out)["error"]["code"] == "bad_grid"
+
+
 @pytest.mark.parametrize(
     "argv, error",
     [
@@ -470,7 +487,8 @@ VIEWPORT = st.sampled_from(["-1,1,-0.2,1", "-1/2,1/2,-1/10,1", "-1,1,0,1e-400", 
 TYPE = st.sampled_from(["[[1,1]]", "[[2,1],[1,1]]", "[[0,2]]", "[[3,1],[1,1]]", "[]", "[[1,0]]"])
 EPS = st.sampled_from(["1/10", "1/7", "1", "-1/2", "0"])
 # subcommand -> {option: values, or None for a flag}; the bounds keep every call
-# small: types r <= 6, verify at most (4, 3), tableaux always gets a node budget
+# small: types r <= 6, verify at most (4, 3), tableaux always gets a node budget;
+# tableaux --g may also exceed tableaux.MAX_CELLS (chain builds g components)
 OPTIONS = {
     "rho": {"--g": G, "--r": R, "--d": D},
     "rho-k": {"--g": G, "--k": K, "--r": R, "--d": D},
@@ -478,7 +496,8 @@ OPTIONS = {
     "types": {"--g": G, "--k": K, "--r": _ints(-2, 6), "--v": VECTOR,
               "--refined": None, "--square-filter": None},
     "walls": {"--g": G, "--k": K, "--eps": EPS, "--v": VECTOR, "--type": TYPE},
-    "tableaux": {"--g": G, "--k": K, "--r": R, "--d": D},
+    "tableaux": {"--g": st.one_of(G, st.sampled_from(["990", str(10**50)])), "--k": K, "--r": R,
+                 "--d": D},
     "chain": {"--g": G, "--k": _ints(-1, 8), "--r": R, "--d": D},
     "verify": {"--suite": st.sampled_from(["all", *verify.SUITES, "x"]), "--max-g": _ints(2, 4),
                "--max-k": _ints(1, 3)},

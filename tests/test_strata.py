@@ -290,6 +290,39 @@ def test_enumerate_types_budget(monkeypatch):
         enumerate_types(5)
 
 
+def test_enumerate_types_budget_bounds_large_r(monkeypatch):
+    # the walk has no recursion, so at r = 2000 the budget is reached, not
+    # the recursion limit
+    monkeypatch.setattr(strata, "MAX_TYPES", 1_000)
+    with pytest.raises(SearchBudgetExceeded, match="1001 types > limit 1000"):
+        enumerate_types(2000)
+
+
+def test_type_sums_work_pinned(monkeypatch):
+    # a transition is one (state, e, m) the DP visits; keyed by M alone the
+    # refined DP visits 1,989 at r = 20
+    bound, bounds = strata._max_multiplicity, []
+
+    def counting(*args):
+        bounds.append(bound(*args))
+        return bounds[-1]
+
+    monkeypatch.setattr(strata, "_max_multiplicity", counting)
+    for refined, transitions in [(False, 4_080), (True, 1_989)]:
+        bounds.clear()
+        strata._type_sums(20, refined)
+        assert sum(max(0, b) for b in bounds) == transitions, refined
+
+
+@pytest.mark.parametrize("refined", [False, True])
+def test_type_sums_match_enumeration(refined):
+    for r in range(-1, 9):
+        sums = {}
+        for t in enumerate_types(r, refined).items:
+            sums[t.sum_m] = sums.get(t.sum_m, 0) | 1 << t.sum_me
+        assert strata._type_sums(r, refined) == sums, r
+
+
 @pytest.mark.parametrize(
     "params, v, t, expected",
     [

@@ -1,6 +1,7 @@
 import pytest
 
 from k3walls import DomainError, SearchBudgetExceeded, Tableau, is_valid, max_omitted, oracle_check
+from k3walls import tableaux
 from k3walls.tableaux import max_omitted_naive
 
 
@@ -100,3 +101,16 @@ def test_grid_preconditions():
         max_omitted(5, 2, -1, 3)
     with pytest.raises(DomainError):
         oracle_check(4, 2, 0, 4)
+
+
+@pytest.mark.parametrize("search", [max_omitted, max_omitted_naive])
+def test_grid_cell_bound(search):
+    assert tableaux.MAX_CELLS == 900
+    with pytest.raises(DomainError, match="at most 900 cells, got 1x901"):
+        search(901, 2, 0, 0)
+
+
+def test_grid_at_the_cell_bound_answers():
+    # one row of g cells has a single valid filling, one search node per cell
+    res = max_omitted(900, 2, 0, 0)
+    assert res.feasible and res.omitted == 0 and res.nodes == 901
