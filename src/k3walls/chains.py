@@ -115,13 +115,19 @@ def _incoming(g: int, r: int, d: int, a: int) -> tuple[int, ...]:
     return (c,) * (r + 1)
 
 
+#: The most components a chain is built with; each takes about 1 KB, and the
+#: bound is checked before any is allocated.
+MAX_COMPONENTS = 10_000
+
+
 def build_chain(g: int, k: int, r: int, d: int) -> ChainSeries:
     """Assemble the full chain of g components with complementary gluing.
 
-    Requires k >= r+2, d <= g-1 and rho(g, r, d) >= 0.  The outgoing sequence
-    of each component is the complement of the next incoming one; for the
-    final component the (virtual) next incoming sequence zeroes the remaining
-    weight budget, which always lands on the zero sequence.
+    Requires k >= r+2, d <= g-1, rho(g, r, d) >= 0 and g <= MAX_COMPONENTS.
+    The outgoing sequence of each component is the complement of the next
+    incoming one; for the final component the (virtual) next incoming
+    sequence zeroes the remaining weight budget, which always lands on the
+    zero sequence.
     """
     if k < r + 2:
         raise DomainError(f"need k >= r+2, got k={k}, r={r}", code="pencil_too_small")
@@ -132,6 +138,10 @@ def build_chain(g: int, k: int, r: int, d: int) -> ChainSeries:
     if rho(g, r, d) < 0:
         raise DomainError(
             f"need rho(g,r,d) >= 0, got {rho(g, r, d)}", code="negative_expected_dimension"
+        )
+    if g > MAX_COMPONENTS:
+        raise DomainError(
+            f"a chain has at most {MAX_COMPONENTS} components, got g={g}", code="bad_genus"
         )
     components = []
     rho_elliptic = rho(1, r, d)

@@ -163,8 +163,15 @@ def max_omitted(g: int, k: int, r: int, d: int, budget: Optional[int] = None) ->
     return _result(best, witness, nodes)
 
 
+#: The most nodes the unpruned reference visits before it gives up.
+NAIVE_MAX_NODES = 10**5
+
+
 def max_omitted_naive(g: int, k: int, r: int, d: int) -> SearchResult:
-    """Reference enumeration without pruning, for oracle-vs-oracle testing."""
+    """Reference enumeration without pruning, for oracle-vs-oracle testing.
+
+    It stops with ``SearchBudgetExceeded`` past ``NAIVE_MAX_NODES`` nodes.
+    """
     rows, cols = _search_shape(g, r, d)
     check_pencil_degree(k)
     total = rows * cols
@@ -174,6 +181,8 @@ def max_omitted_naive(g: int, k: int, r: int, d: int) -> SearchResult:
     def dfs(idx: int, used: dict[int, int]) -> None:
         nonlocal best, witness, nodes
         nodes += 1
+        if nodes > NAIVE_MAX_NODES:
+            raise SearchBudgetExceeded(NAIVE_MAX_NODES, nodes)
         if idx == total:
             omitted = g - len(used)
             if omitted > best:

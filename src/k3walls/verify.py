@@ -44,6 +44,15 @@ def _surfaces(max_g, max_k):
     ]
 
 
+def _grid(max_g, max_k, ranks, d_from=1, g_from=3):
+    """(g, k, d, r) for g_from <= g <= max_g, 2 <= k <= max_k, d_from <= d < g, r in ranks."""
+    for g in range(g_from, max_g + 1):
+        for k in range(2, max_k + 1):
+            for d in range(d_from, g):
+                for r in ranks:
+                    yield g, k, d, r
+
+
 def _random_vector(rng, bound):
     return lattice.MukaiVector(*(rng.randint(-bound, bound) for _ in range(4)))
 
@@ -156,19 +165,13 @@ def _vector_for(g, d):
 
 
 def check_strata_dimension_identity(max_g, max_k):
-    for g in range(3, max_g + 1):
-        for k in range(2, max_k + 1):
-            params = lattice.SurfaceParams(g, k)
-            for d in range(0, g):
-                v = _vector_for(g, d)
-                for r in range(0, 7):
-                    for ell in range(max(0, r + 1 - k), r + 1):
-                        got = strata.stratum_dimension(params, v, strata.balanced_type(r, ell))
-                        want = g + hbn.rho(g, r - ell, d) - ell * k
-                        if got != want:
-                            raise CheckFailed(
-                                f"{got} != {want} at (g,k,d,r,ell)=({g},{k},{d},{r},{ell})"
-                            )
+    for g, k, d, r in _grid(max_g, max_k, range(7), d_from=0):
+        params, v = lattice.SurfaceParams(g, k), _vector_for(g, d)
+        for ell in range(max(0, r + 1 - k), r + 1):
+            got = strata.stratum_dimension(params, v, strata.balanced_type(r, ell))
+            want = g + hbn.rho(g, r - ell, d) - ell * k
+            if got != want:
+                raise CheckFailed(f"{got} != {want} at (g,k,d,r,ell)=({g},{k},{d},{r},{ell})")
     return "balanced dimension identity exact"
 
 
@@ -178,111 +181,90 @@ def check_strata_dimension_bounds(max_g, max_k):
         [(t, strata.ell_value(t, r), t.weighted_sections() == r + 1) for t in strata.enumerate_types(r).items]
         for r in range(5)
     ]
-    for g in range(3, min(max_g, 9) + 1):
-        for k in range(2, min(max_k, 5) + 1):
-            params = lattice.SurfaceParams(g, k)
-            for d in range(1, g):
-                v = _vector_for(g, d)
-                for r in range(0, 5):
-                    bounds = [g + hbn.rho(g, r - ell, d) - ell * k for ell in range(r + 1)]
-                    least: dict[int, int] = {}
-                    largest: dict[int, int] = {}
-                    saturated: dict[int, int] = {}  # every saturated dim equals the bound
-                    for t, ell, is_saturated in types[r]:
-                        bound = bounds[ell]
-                        dim = strata.stratum_dimension(params, v, t)
-                        if dim > bound:
-                            raise CheckFailed(
-                                f"dim {dim} > bound {bound} for {t.to_list()} at ({g},{k},{d},{r})"
-                            )
-                        if is_saturated:
-                            if dim != bound:
-                                raise CheckFailed(
-                                    f"saturated type misses bound for {t.to_list()} at ({g},{k},{d},{r})"
-                                )
-                            saturated[ell] = dim
-                        least[ell] = min(dim, least.get(ell, dim))
-                        largest[ell] = max(dim, largest.get(ell, dim))
-                    enumerated = [
-                        (ell, least[ell], largest[ell], saturated.get(ell)) for ell in sorted(least)
-                    ]
-                    fast = [
-                        (ext.ell, ext.least, ext.largest, ext.saturated)
-                        for ext in strata.dimension_extremes(params, v, r)
-                    ]
-                    if fast != enumerated:
-                        raise CheckFailed(
-                            f"dimension_extremes {fast} != enumerated {enumerated} at ({g},{k},{d},{r})"
-                        )
+    for g, k, d, r in _grid(min(max_g, 9), min(max_k, 5), range(5)):
+        params, v = lattice.SurfaceParams(g, k), _vector_for(g, d)
+        bounds = [g + hbn.rho(g, r - ell, d) - ell * k for ell in range(r + 1)]
+        least: dict[int, int] = {}
+        largest: dict[int, int] = {}
+        saturated: dict[int, int] = {}  # every saturated dim equals the bound
+        for t, ell, is_saturated in types[r]:
+            bound = bounds[ell]
+            dim = strata.stratum_dimension(params, v, t)
+            if dim > bound:
+                raise CheckFailed(
+                    f"dim {dim} > bound {bound} for {t.to_list()} at ({g},{k},{d},{r})"
+                )
+            if is_saturated:
+                if dim != bound:
+                    raise CheckFailed(
+                        f"saturated type misses bound for {t.to_list()} at ({g},{k},{d},{r})"
+                    )
+                saturated[ell] = dim
+            least[ell] = min(dim, least.get(ell, dim))
+            largest[ell] = max(dim, largest.get(ell, dim))
+        enumerated = [(ell, least[ell], largest[ell], saturated.get(ell)) for ell in sorted(least)]
+        fast = [
+            (ext.ell, ext.least, ext.largest, ext.saturated)
+            for ext in strata.dimension_extremes(params, v, r)
+        ]
+        if fast != enumerated:
+            raise CheckFailed(
+                f"dimension_extremes {fast} != enumerated {enumerated} at ({g},{k},{d},{r})"
+            )
     return "upper bound and saturated equality hold"
 
 
 def check_strata_nonexistence(max_g, max_k):
     types = [strata.enumerate_types(r).items for r in range(4)]
-    for g in range(3, min(max_g, 8) + 1):
-        for k in range(2, min(max_k, 5) + 1):
-            params = lattice.SurfaceParams(g, k)
-            for d in range(1, g):
-                for r in range(0, 4):
-                    value, _ = hbn.rho_k(g, k, r, d)
-                    if value >= 0:
-                        continue
-                    v = _vector_for(g, d)
-                    for t in types[r]:
-                        ell = strata.ell_value(t, r)
-                        if hbn.rho(g, r - ell, d) - ell * k >= 0:
-                            raise CheckFailed(
-                                f"type {t.to_list()} has nonneg count at ({g},{k},{d},{r})"
-                            )
-                    for ell in range(0, r + 1):
-                        t = strata.balanced_type(r, ell)
-                        verdict = strata.type_verdict(params, v, t)
-                        if t in types[r] and verdict is not strata.Verdict.EMPTY_BY_NECESSITY:
-                            raise CheckFailed(
-                                f"enumerated balanced type {t.to_list()} not excluded at ({g},{k},{d},{r})"
-                            )
+    for g, k, d, r in _grid(min(max_g, 8), min(max_k, 5), range(4)):
+        if hbn.rho_k(g, k, r, d)[0] >= 0:
+            continue
+        for t in types[r]:
+            ell = strata.ell_value(t, r)
+            if hbn.rho(g, r - ell, d) - ell * k >= 0:
+                raise CheckFailed(f"type {t.to_list()} has nonneg count at ({g},{k},{d},{r})")
+        params, v = lattice.SurfaceParams(g, k), _vector_for(g, d)
+        for ell in range(0, r + 1):
+            t = strata.balanced_type(r, ell)
+            verdict = strata.type_verdict(params, v, t)
+            if t in types[r] and verdict is not strata.Verdict.EMPTY_BY_NECESSITY:
+                raise CheckFailed(
+                    f"enumerated balanced type {t.to_list()} not excluded at ({g},{k},{d},{r})"
+                )
     return "negative rho_k excludes every type"
 
 
 def check_strata_square_filter(max_g, max_k):
     types = [strata.enumerate_types(r).items for r in range(4)]
-    for g in range(3, min(max_g, 8) + 1):
-        for k in range(2, min(max_k, 5) + 1):
-            params = lattice.SurfaceParams(g, k)
-            for d in range(1, g):
-                v = _vector_for(g, d)
-                for r in range(0, 4):
-                    for t in types[r]:
-                        dropped = not strata.passes_square_filter(params, v, t)
-                        verdict = strata.type_verdict(params, v, t)
-                        if dropped != (verdict is strata.Verdict.EMPTY_BY_NECESSITY):
-                            raise CheckFailed(
-                                f"filter/verdict mismatch for {t.to_list()} at ({g},{k},{d},{r})"
-                            )
+    for g, k, d, r in _grid(min(max_g, 8), min(max_k, 5), range(4)):
+        params, v = lattice.SurfaceParams(g, k), _vector_for(g, d)
+        for t in types[r]:
+            dropped = not strata.passes_square_filter(params, v, t)
+            verdict = strata.type_verdict(params, v, t)
+            if dropped != (verdict is strata.Verdict.EMPTY_BY_NECESSITY):
+                raise CheckFailed(
+                    f"filter/verdict mismatch for {t.to_list()} at ({g},{k},{d},{r})"
+                )
     return "square filter matches emptiness verdicts"
 
 
 # -------------------------------------------------------------------- hbn
 
 def check_hbn_rho_k_dominates(max_g, max_k):
-    for g in range(1, max_g + 1):
-        for k in range(2, max_k + 1):
-            for d in range(0, g):
-                for r in range(0, 7):
-                    value, argmax = hbn.rho_k(g, k, r, d)
-                    base = hbn.rho(g, r, d)
-                    if value < base or ((value == base) != (0 in argmax)):
-                        raise CheckFailed(f"fails at ({g},{k},{r},{d})")
+    for g, k, d, r in _grid(max_g, max_k, range(7), d_from=0, g_from=1):
+        value, argmax = hbn.rho_k(g, k, r, d)
+        base = hbn.rho(g, r, d)
+        if value < base or ((value == base) != (0 in argmax)):
+            raise CheckFailed(f"fails at ({g},{k},{r},{d})")
     return "rho_k dominates rho; equality iff ell=0 wins"
 
 
 def check_hbn_rho_k_monotone(max_g, max_k):
-    for g in range(1, max_g + 1):
-        for k in range(2, max_k + 1):
-            for d in range(0, g):
-                values = [hbn.rho_k(g, k, r, d)[0] for r in range(0, 8)]
-                if any(a < b for a, b in zip(values, values[1:])):
-                    raise CheckFailed(f"fails at ({g},{k},{d})")
+    # one instance per (g, k, d), whose ranks 0..7 are compared in a row
+    for g, k, d, _ in _grid(max_g, max_k, range(1), d_from=0, g_from=1):
+        values = [hbn.rho_k(g, k, r, d)[0] for r in range(0, 8)]
+        if any(a < b for a, b in zip(values, values[1:])):
+            raise CheckFailed(f"fails at ({g},{k},{d})")
     return "rho_k non-increasing in r"
 
 
@@ -302,117 +284,94 @@ def check_hbn_ell_round_trip(max_g, max_k):
 
 
 def check_hbn_degeneracy_identity(max_g, max_k):
-    for g in range(3, max_g + 1):
-        for k in range(2, max_k + 1):
-            for d in range(0, g):
-                for r in range(0, 7):
-                    for ell in range(max(0, r + 2 - k), r + 1):
-                        hbn.degeneracy_dims(g, k, d, r, ell)  # raises when its dimension is off
-                        count = hbn.rho(g, r - ell, d) - ell * k
-                        # the reduction to rank m1 - 1 and degree d - (e+1)k
-                        dec = hbn.ell_decompose(r, ell)
-                        e, m1 = dec.e, dec.m1
-                        lhs = hbn.rho(g, m1 - 1, d - (e + 1) * k)
-                        correction = (r - ell - m1 + 1) * (g + e * k - d + r - ell + m1)
-                        if lhs != count + correction:
-                            raise CheckFailed(f"reduction off at ({g},{k},{d},{r},{ell})")
+    for g, k, d, r in _grid(max_g, max_k, range(7), d_from=0):
+        for ell in range(max(0, r + 2 - k), r + 1):
+            hbn.degeneracy_dims(g, k, d, r, ell)  # raises when its dimension is off
+            count = hbn.rho(g, r - ell, d) - ell * k
+            # the reduction to rank m1 - 1 and degree d - (e+1)k
+            dec = hbn.ell_decompose(r, ell)
+            e, m1 = dec.e, dec.m1
+            lhs = hbn.rho(g, m1 - 1, d - (e + 1) * k)
+            correction = (r - ell - m1 + 1) * (g + e * k - d + r - ell + m1)
+            if lhs != count + correction:
+                raise CheckFailed(f"reduction off at ({g},{k},{d},{r},{ell})")
     return "degeneracy dimensions match closed form"
 
 
 def check_hbn_splitting_correspondence(max_g, max_k):
-    for g in range(3, min(max_g, 10) + 1):
-        for k in range(2, min(max_k, 6) + 1):
-            for d in range(1, g):
-                for r in range(0, 6):
-                    for ell in range(max(0, r + 2 - k), r + 1):
-                        dec = hbn.ell_decompose(r, ell)
-                        frag = [dec.e + 1] * dec.m1 + [dec.e] * dec.m2
-                        if hbn.balanced_correspondence(frag) != (dec.e, dec.m1, dec.m2):
-                            raise CheckFailed(f"mismatch at ({g},{k},{d},{r},{ell})")
-                        # full splitting round trip when the negative rest fits one slot
-                        n_rest = k - dec.m1 - dec.m2
-                        deg_rest = (d + 1 - g - k) - (dec.m1 * (dec.e + 1) + dec.m2 * dec.e)
-                        if n_rest >= 1 and deg_rest % n_rest == 0:
-                            f_rest = deg_rest // n_rest
-                            if f_rest < 0:
-                                balanced = strata.balanced_type(r, ell).pairs
-                                st = hbn.SplittingType(balanced + ((f_rest, n_rest),))
-                                nonneg = hbn.splitting_nonneg_part(g, k, d, st)
-                                got = hbn.balanced_correspondence(nonneg.values())
-                                if got != (dec.e, dec.m1, dec.m2):
-                                    raise CheckFailed(f"round trip off at ({g},{k},{d},{r},{ell})")
+    for g, k, d, r in _grid(min(max_g, 10), min(max_k, 6), range(6)):
+        for ell in range(max(0, r + 2 - k), r + 1):
+            dec = hbn.ell_decompose(r, ell)
+            frag = [dec.e + 1] * dec.m1 + [dec.e] * dec.m2
+            if hbn.balanced_correspondence(frag) != (dec.e, dec.m1, dec.m2):
+                raise CheckFailed(f"mismatch at ({g},{k},{d},{r},{ell})")
+            # full splitting round trip when the negative rest fits one slot
+            n_rest = k - dec.m1 - dec.m2
+            deg_rest = (d + 1 - g - k) - (dec.m1 * (dec.e + 1) + dec.m2 * dec.e)
+            if n_rest >= 1 and deg_rest < 0 and deg_rest % n_rest == 0:
+                balanced = strata.balanced_type(r, ell).pairs
+                st = hbn.SplittingType(balanced + ((deg_rest // n_rest, n_rest),))
+                nonneg = hbn.splitting_nonneg_part(g, k, d, st)
+                if hbn.balanced_correspondence(nonneg.values()) != (dec.e, dec.m1, dec.m2):
+                    raise CheckFailed(f"round trip off at ({g},{k},{d},{r},{ell})")
     return "balanced data matches splitting side"
 
 
 # ---------------------------------------------------------------- tableaux
 
 def check_tableaux_pruning(max_g, max_k):
-    for g in range(3, min(max_g, 7) + 1):
-        for k in range(2, min(max_k, 4) + 1):
-            for r in range(0, 3):
-                for d in range(1, g):
-                    if (r + 1) * (g - d + r) > 9:
-                        continue
-                    fast = tableaux.max_omitted(g, k, r, d)
-                    slow = tableaux.max_omitted_naive(g, k, r, d)
-                    # both keep the first maximizer in row-major label order
-                    got = (fast.feasible, fast.omitted, fast.witness)
-                    if got != (slow.feasible, slow.omitted, slow.witness):
-                        raise CheckFailed(f"mismatch at ({g},{k},{r},{d})")
+    for g, k, d, r in _grid(min(max_g, 7), min(max_k, 4), range(3)):
+        if (r + 1) * (g - d + r) > 9:
+            continue
+        fast = tableaux.max_omitted(g, k, r, d)
+        slow = tableaux.max_omitted_naive(g, k, r, d)
+        # both keep the first maximizer in row-major label order
+        got = (fast.feasible, fast.omitted, fast.witness)
+        if got != (slow.feasible, slow.omitted, slow.witness):
+            raise CheckFailed(f"mismatch at ({g},{k},{r},{d})")
     return "pruned search agrees with naive enumeration"
 
 
 def check_tableaux_oracle(max_g, max_k):
-    for g in range(3, min(max_g, 8) + 1):
-        for k in range(2, min(max_k, 5) + 1):
-            for r in range(0, 4):
-                for d in range(1, g):
-                    if (r + 1) * (g - d + r) > 12:
-                        continue
-                    report = tableaux.oracle_check(g, k, r, d)  # raises on hard violations
-                    if report.rho_k >= 0 and not report.equality:
-                        raise CheckFailed(
-                            f"omitted {report.omitted} != rho_k {report.rho_k} at ({g},{k},{r},{d})"
-                        )
+    for g, k, d, r in _grid(min(max_g, 8), min(max_k, 5), range(4)):
+        if (r + 1) * (g - d + r) > 12:
+            continue
+        report = tableaux.oracle_check(g, k, r, d)  # raises on hard violations
+        if report.rho_k >= 0 and not report.equality:
+            raise CheckFailed(
+                f"omitted {report.omitted} != rho_k {report.rho_k} at ({g},{k},{r},{d})"
+            )
     return "tableau maximum equals rho_k when nonnegative"
 
 
 # ------------------------------------------------------------------ chains
 
+def _chains(max_g, max_k):
+    """(g, k, d, r, rho, chain) for each instance with k >= r+2 and rho(g, r, d) >= 0."""
+    for g, k, d, r in _grid(max_g, max_k, range(5), d_from=0):
+        if k >= r + 2 and (expected := hbn.rho(g, r, d)) >= 0:
+            yield g, k, d, r, expected, chains.build_chain(g, k, r, d)
+
+
 def check_chains_verify(max_g, max_k):
-    for g in range(3, max_g + 1):
-        for r in range(0, 5):
-            for k in range(r + 2, max_k + 1):
-                for d in range(0, g):
-                    expected = hbn.rho(g, r, d)
-                    if expected < 0:
-                        continue
-                    report = chains.verify_chain(chains.build_chain(g, k, r, d))
-                    if not report.ok:
-                        raise CheckFailed(f"failures at ({g},{k},{r},{d}): {report.failures[:2]}")
-                    if report.total_adjusted != expected:
-                        raise CheckFailed(
-                            f"total {report.total_adjusted} != rho {expected} at ({g},{k},{r},{d})"
-                        )
+    for g, k, d, r, expected, chain in _chains(max_g, max_k):
+        report = chains.verify_chain(chain)
+        if not report.ok:
+            raise CheckFailed(f"failures at ({g},{k},{r},{d}): {report.failures[:2]}")
+        if report.total_adjusted != expected:
+            raise CheckFailed(
+                f"total {report.total_adjusted} != rho {expected} at ({g},{k},{r},{d})"
+            )
     return "all constructed chains verify"
 
 
 def check_chains_telescoping(max_g, max_k):
-    for g in range(3, max_g + 1):
-        for r in range(0, 5):
-            for k in range(r + 2, max_k + 1):
-                for d in range(0, g):
-                    if hbn.rho(g, r, d) < 0:
-                        continue
-                    chain = chains.build_chain(g, k, r, d)
-                    first = (r + 1) * (g - d + r)
-                    comps = chain.components
-                    for a in range(0, min(first, g) - 1):
-                        gap = comps[a + 1].alpha_in.weight - comps[a].alpha_in.weight
-                        if gap != r:
-                            raise CheckFailed(
-                                f"weight gap {gap} != r at ({g},{k},{r},{d}), a={a + 1}"
-                            )
+    for g, k, d, r, _, chain in _chains(max_g, max_k):
+        comps = chain.components
+        for a in range(0, min((r + 1) * (g - d + r), g) - 1):
+            gap = comps[a + 1].alpha_in.weight - comps[a].alpha_in.weight
+            if gap != r:
+                raise CheckFailed(f"weight gap {gap} != r at ({g},{k},{r},{d}), a={a + 1}")
     return "incoming weights step by r in the first range"
 
 

@@ -161,6 +161,14 @@ def test_types_error_order(capsys, argv, error):
     assert payload(out)["error"]["code"] == error
 
 
+@pytest.mark.parametrize("g", ["10001", str(10**50)])
+def test_chain_too_long(capsys, g):
+    # a chain past chains.MAX_COMPONENTS is refused before a component is built
+    code, out, _ = run_cli(capsys, "chain", "--g", g, "--k", "3", "--r", "0", "--d", "0")
+    assert code == 1
+    assert payload(out)["error"]["code"] == "bad_genus"
+
+
 def test_chain_command(capsys):
     code, out, _ = run_cli(capsys, "chain", "--g", "4", "--k", "3", "--r", "1", "--d", "3")
     assert code == 0
@@ -488,7 +496,7 @@ TYPE = st.sampled_from(["[[1,1]]", "[[2,1],[1,1]]", "[[0,2]]", "[[3,1],[1,1]]", 
 EPS = st.sampled_from(["1/10", "1/7", "1", "-1/2", "0"])
 # subcommand -> {option: values, or None for a flag}; the bounds keep every call
 # small: types r <= 6, verify at most (4, 3), tableaux always gets a node budget;
-# tableaux --g may also exceed tableaux.MAX_CELLS (chain builds g components)
+# tableaux --g and chain --g may also exceed tableaux.MAX_CELLS and chains.MAX_COMPONENTS
 OPTIONS = {
     "rho": {"--g": G, "--r": R, "--d": D},
     "rho-k": {"--g": G, "--k": K, "--r": R, "--d": D},
@@ -498,7 +506,8 @@ OPTIONS = {
     "walls": {"--g": G, "--k": K, "--eps": EPS, "--v": VECTOR, "--type": TYPE},
     "tableaux": {"--g": st.one_of(G, st.sampled_from(["990", str(10**50)])), "--k": K, "--r": R,
                  "--d": D},
-    "chain": {"--g": G, "--k": _ints(-1, 8), "--r": R, "--d": D},
+    "chain": {"--g": st.one_of(G, st.sampled_from(["10001", str(10**50)])), "--k": _ints(-1, 8),
+              "--r": R, "--d": D},
     "verify": {"--suite": st.sampled_from(["all", *verify.SUITES, "x"]), "--max-g": _ints(2, 4),
                "--max-k": _ints(1, 3)},
     "plot-walls": {"--g": G, "--k": K, "--eps": EPS, "--v": VECTOR, "--type": TYPE,

@@ -114,3 +114,11 @@ def test_grid_at_the_cell_bound_answers():
     # one row of g cells has a single valid filling, one search node per cell
     res = max_omitted(900, 2, 0, 0)
     assert res.feasible and res.omitted == 0 and res.nodes == 901
+
+
+def test_naive_node_bound(monkeypatch):
+    # one row of 900 cells: unbounded, the reference ran for minutes
+    assert tableaux.NAIVE_MAX_NODES == 10**5
+    monkeypatch.setattr(tableaux, "NAIVE_MAX_NODES", 10**4)
+    with pytest.raises(SearchBudgetExceeded, match="10001 nodes > limit 10000"):
+        max_omitted_naive(900, 2, 0, 0)

@@ -1,4 +1,8 @@
-"""verify.run_checks across forked workers: the same results as one after another."""
+"""verify.run_checks across forked workers: the same results as one after another.
+
+Also the work of the grid checks: the instances each draws from verify._grid,
+and the kernel calls of a full run.
+"""
 
 import os
 import select
@@ -7,7 +11,7 @@ import sys
 
 import pytest
 
-from k3walls import cli, verify
+from k3walls import chains, cli, hbn, strata, verify
 from k3walls.verify import CheckResult, run_checks
 
 PACKAGE_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -143,3 +147,78 @@ def test_entry_point_forks_with_the_same_bytes(capsys):
 
 def test_available_cpus_is_positive():
     assert verify.available_cpus() >= 1
+
+
+# instances each grid check draws from verify._grid at (8, 5)
+GRID_DRAWS = {
+    "strata.dimension_identity": 924,
+    "strata.dimension_bounds": 540,
+    "strata.nonexistence": 432,
+    "strata.square_filter": 432,
+    "hbn.rho_k_dominates": 1008,
+    "hbn.rho_k_monotone": 144,
+    "hbn.degeneracy_identity": 924,
+    "hbn.splitting_correspondence": 648,
+    "tableaux.pruning": 180,
+    "tableaux.oracle": 432,
+    "chains.verify": 660,
+    "chains.telescoping": 660,
+}
+
+
+def _grid_draws(monkeypatch, max_g, max_k):
+    """Check name -> instances it drew from verify._grid, for each check that drew one."""
+    real, drawn = verify._grid, []
+
+    def spy(*args, **kwargs):
+        for instance in real(*args, **kwargs):
+            drawn.append(instance)
+            yield instance
+
+    monkeypatch.setattr(verify, "_grid", spy)
+    draws = {}
+    for fn in (fn for suite in verify.SUITES for fn in verify.CHECKS[suite]):
+        drawn.clear()
+        fn(max_g, max_k)
+        if drawn:
+            draws[verify._check_name(fn)] = len(drawn)
+    return draws
+
+
+def test_every_grid_check_draws_at_the_floor(monkeypatch):
+    assert set(_grid_draws(monkeypatch, 3, 2)) == set(GRID_DRAWS)
+
+
+def test_grid_draws_pinned(monkeypatch):
+    assert _grid_draws(monkeypatch, 8, 5) == GRID_DRAWS
+
+
+def _count_calls(monkeypatch, owner, name):
+    """The calls of owner.name, patched in every k3walls module that binds it."""
+    real, calls = getattr(owner, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name == "k3walls" or mod_name.startswith("k3walls."):
+            for attr, obj in list(vars(mod).items()):
+                if obj is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_kernel_work_of_a_full_run(monkeypatch):
+    # the counters the benchmark reports for a verify-all pass
+    kernels = {
+        "hbn.rho_k": (hbn, "rho_k", 2_844),
+        "chains.build_chain": (chains, "build_chain", 318),
+        "strata.stratum_dimension": (strata, "stratum_dimension", 21_042),
+        "strata.enumerate_types": (strata, "enumerate_types", 13),
+    }
+    calls = {key: _count_calls(monkeypatch, owner, name) for key, (owner, name, _) in kernels.items()}
+    assert all(res.ok for res in run_checks("all", 8, 5))
+    assert {key: len(made) for key, made in calls.items()} == {
+        key: count for key, (_, _, count) in kernels.items()
+    }
