@@ -103,16 +103,15 @@ class ChainSeries:
 
 
 def _incoming(g: int, r: int, d: int, a: int) -> tuple[int, ...]:
-    """Incoming ramification of component a; defined up to the virtual a = g+1."""
+    """Incoming ramification of component a; defined up to the virtual a = g+1.
+
+    The reading of the column-major standard tableau on the (r+1) x w grid,
+    w = g-d+r, whose cell (x, y) has label 1 + y(r+1) + x: alpha_x is a-1
+    minus the number of cells of row x with label < a, which is
+    ceil((a-1-x)/(r+1)) clamped to [0, w].
+    """
     w = g - d + r
-    if a == 1:
-        return (0,) * (r + 1)
-    if a <= 1 + (r + 1) * w:
-        b, i = divmod(a - 2, r + 1)
-        i += 1  # a = 1 + b(r+1) + i with 1 <= i <= r+1
-        return (b * r + i - 1,) * i + (b * r + i,) * (r + 1 - i)
-    c = r * w + (a - 1 - (r + 1) * w)
-    return (c,) * (r + 1)
+    return tuple(a - 1 - min(w, max(0, -((x + 1 - a) // (r + 1)))) for x in range(r + 1))
 
 
 #: The most components a chain is built with; each takes about 1 KB, and the

@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError, SearchBudgetExceeded
 from .hbn import ell_decompose
-from .lattice import (
-    MukaiVector,
-    SurfaceParams,
-    check_special_shape,
-    line_bundle_vector,
-    square,
-)
+from .lattice import MukaiVector, SurfaceParams, check_special_shape, line_bundle_vector
 from .stability import StabilityParams, WallPoint, wall_on_axis
 
 
@@ -269,8 +263,8 @@ class NonemptinessVerdict:
     square: int
 
 
-def _balanced_case(v: MukaiVector, t: StabilityType) -> tuple[int, int, int] | None:
-    """The data (e, m1, m2) when balanced_nonempty decides t for v; None otherwise.
+def _balanced_case(v: MukaiVector, t: StabilityType) -> bool:
+    """Whether balanced_nonempty decides t for v.
 
     It decides a balanced type {(e+1, m1), (e, m2)}, m1 = 0 allowed, of a
     vector of shape (r0 <= 0, H - a0*E, s0 + r0) in one of two degree cases:
@@ -279,20 +273,31 @@ def _balanced_case(v: MukaiVector, t: StabilityType) -> tuple[int, int, int] | N
     """
     check_special_shape(v)
     if v.r > 0 or not (v.ch2 < 0 or v.r == v.ch2 == 0):
-        return None
-    if t.p == 1:
-        e, m2 = t.pairs[0]
-        return e, 0, m2
-    if t.p == 2 and t.pairs[0][0] == t.pairs[1][0] + 1:
-        (_, m1), (e, m2) = t.pairs
-        return e, m1, m2
-    return None
+        return False
+    return t.p == 1 or (t.p == 2 and t.pairs[0][0] == t.pairs[1][0] + 1)
 
 
 def balanced_type(r: int, ell: int) -> StabilityType:
     """The type {(e+1, m1), (e, m2)} of ell_decompose(r, ell), without a pair of m1 = 0."""
     dec = ell_decompose(r, ell)
     return StabilityType(tuple((e, m) for e, m in ((dec.e + 1, dec.m1), (dec.e, dec.m2)) if m))
+
+
+def _verdict(
+    params: SurfaceParams, v: MukaiVector, t: StabilityType, decided: bool
+) -> tuple[Verdict, int]:
+    """The verdict on t and its residual square; decided is _balanced_case(v, t).
+
+    A square below -2 forces emptiness.  A decided type with square >= -2
+    is non-empty within its multiplicity bound on M = m1+m2: M < k in the
+    genus-minus-one case, M <= k+r0 otherwise.  Anything else is unknown.
+    """
+    sq = _residual_square(params, v, t.sum_m, t.sum_me)
+    if sq < -2:
+        return Verdict.EMPTY_BY_NECESSITY, sq
+    if decided and (t.sum_m < params.k if v.ch2 == 0 else t.sum_m <= params.k + v.r):
+        return Verdict.NON_EMPTY, sq
+    return Verdict.UNKNOWN, sq
 
 
 def balanced_nonempty(
@@ -305,42 +310,19 @@ def balanced_nonempty(
     in the genus-minus-one case).  A square below -2 forces emptiness.  When
     only the multiplicity bound fails the answer is genuinely unknown.
     """
-    data = _balanced_case(v, t)
-    if data is None:
+    if not _balanced_case(v, t):
         raise DomainError(f"no balanced verdict for type {t.to_list()} of {v}", code="not_balanced")
-    return _balanced_verdict(params, v, *data)
-
-
-def _balanced_verdict(
-    params: SurfaceParams, v: MukaiVector, e: int, m1: int, m2: int
-) -> NonemptinessVerdict:
-    """balanced_nonempty for the data (e, m1, m2) that _balanced_case returned."""
-    v2 = v - m1 * line_bundle_vector(e + 1) - m2 * line_bundle_vector(e)
-    sq = square(params, v2)
-    if sq < -2:
-        return NonemptinessVerdict(Verdict.EMPTY_BY_NECESSITY, sq)
-    if v.ch2 == 0:  # genus minus one
-        sufficient = m1 + m2 < params.k
-    else:
-        sufficient = m1 + m2 <= params.k + v.r
-    if sufficient:
-        return NonemptinessVerdict(Verdict.NON_EMPTY, sq)
-    return NonemptinessVerdict(Verdict.UNKNOWN, sq)
+    return NonemptinessVerdict(*_verdict(params, v, t, True))
 
 
 def type_verdict(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> Verdict:
     """The emptiness verdict of any type of v, a vector of shape (r0, H - a0*E, s0 + r0).
 
     A type that balanced_nonempty decides gets its verdict.  Any other type
-    is empty by necessity when it fails the square filter, which tests the
-    square balanced_nonempty tests too, and unknown otherwise.
+    is empty by necessity when it fails the square filter, which reads the
+    same residual square, and unknown otherwise.
     """
-    data = _balanced_case(v, t)
-    if data is not None:
-        return _balanced_verdict(params, v, *data).verdict
-    if not passes_square_filter(params, v, t):
-        return Verdict.EMPTY_BY_NECESSITY
-    return Verdict.UNKNOWN
+    return _verdict(params, v, t, _balanced_case(v, t))[0]
 
 
 def wall_sequence(sp: StabilityParams, v: MukaiVector, t: StabilityType) -> list[WallPoint]:

@@ -210,6 +210,21 @@ def test_verify_rejects_empty_grid(capsys, argv, error):
     assert payload(out)["error"]["code"] == error
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["--max-g", "41"], "bad_genus"),
+        (["--max-g", str(10**50)], "bad_genus"),
+        (["--max-k", "13"], "bad_pencil_degree"),
+    ],
+)
+def test_verify_grid_too_large(capsys, argv, error):
+    # a grid past (verify.MAX_GRID_G, verify.MAX_GRID_K) is refused before a check runs
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", *argv)
+    assert code == 1
+    assert payload(out)["error"]["code"] == error
+
+
 def test_check_names_follow_function_names():
     # every check_<suite>_<rest> of verify is registered once, under its suite,
     # and reports as <suite>.<rest>
@@ -496,7 +511,8 @@ TYPE = st.sampled_from(["[[1,1]]", "[[2,1],[1,1]]", "[[0,2]]", "[[3,1],[1,1]]", 
 EPS = st.sampled_from(["1/10", "1/7", "1", "-1/2", "0"])
 # subcommand -> {option: values, or None for a flag}; the bounds keep every call
 # small: types r <= 6, verify at most (4, 3), tableaux always gets a node budget;
-# tableaux --g and chain --g may also exceed tableaux.MAX_CELLS and chains.MAX_COMPONENTS
+# tableaux --g, chain --g and verify --max-g may also exceed tableaux.MAX_CELLS,
+# chains.MAX_COMPONENTS and verify.MAX_GRID_G
 OPTIONS = {
     "rho": {"--g": G, "--r": R, "--d": D},
     "rho-k": {"--g": G, "--k": K, "--r": R, "--d": D},
@@ -508,7 +524,8 @@ OPTIONS = {
                  "--d": D},
     "chain": {"--g": st.one_of(G, st.sampled_from(["10001", str(10**50)])), "--k": _ints(-1, 8),
               "--r": R, "--d": D},
-    "verify": {"--suite": st.sampled_from(["all", *verify.SUITES, "x"]), "--max-g": _ints(2, 4),
+    "verify": {"--suite": st.sampled_from(["all", *verify.SUITES, "x"]),
+               "--max-g": st.one_of(_ints(2, 4), st.sampled_from(["41", str(10**50)])),
                "--max-k": _ints(1, 3)},
     "plot-walls": {"--g": G, "--k": K, "--eps": EPS, "--v": VECTOR, "--type": TYPE,
                    "--viewport": VIEWPORT},

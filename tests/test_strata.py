@@ -264,7 +264,8 @@ def test_balanced_nonempty_errors():
 
 
 def test_type_verdict_checks_the_shape_once(monkeypatch):
-    # a balanced type is decided by the data of one _balanced_case call
+    # one _balanced_case call per type checks the shape and tells whether
+    # the balanced rule decides it
     calls = []
 
     def spy(v):
@@ -278,6 +279,52 @@ def test_type_verdict_checks_the_shape_once(monkeypatch):
     balanced = [(t, verdict) for t, verdict in zip(types, verdicts) if strata._balanced_case(V53, t)]
     assert balanced
     assert all(balanced_nonempty(P52, V53, t).verdict is verdict for t, verdict in balanced)
+
+
+def reference_verdict(params, v, t):
+    """(verdict, residual square, balanced) of t for v on MukaiVectors.
+
+    A balanced type {(e+1, m1), (e, m2)} of a vector in a decided degree case
+    gets the square of v - m1*(1, (e+1)E, 1) - m2*(1, eE, 1) and the
+    multiplicity bound on m1 + m2; any other type the square of its full
+    residual vector alone.
+    """
+    decided = v.r <= 0 and (v.ch2 < 0 or v.r == v.ch2 == 0)
+    if decided and t.p == 1:
+        (e, m2), m1 = t.pairs[0], 0
+    elif decided and t.p == 2 and t.pairs[0][0] == t.pairs[1][0] + 1:
+        (_, m1), (e, m2) = t.pairs
+    else:
+        sq = square(params, residual_vector(v, t))
+        return (Verdict.EMPTY_BY_NECESSITY if sq < -2 else Verdict.UNKNOWN), sq, False
+    sq = square(params, v - m1 * line_bundle_vector(e + 1) - m2 * line_bundle_vector(e))
+    if sq < -2:
+        return Verdict.EMPTY_BY_NECESSITY, sq, True
+    within = m1 + m2 < params.k if v.ch2 == 0 else m1 + m2 <= params.k + v.r
+    return (Verdict.NON_EMPTY if within else Verdict.UNKNOWN), sq, True
+
+
+def test_verdicts_match_object_path():
+    # 99,072 cases: every type with r <= 4 on g in {3, 5, 7}, 2 <= k <= 5 and
+    # the vectors (r0, 1, -a0, s) with -2 <= r0 <= 1, 0 <= a0 <= 1, -4 <= s <= 1
+    types = [t for r in range(-1, 5) for t in enumerate_types(r).items]
+    vectors = [
+        MukaiVector(r0, 1, -a0, s) for r0 in range(-2, 2) for a0 in range(2) for s in range(-4, 2)
+    ]
+    cases = 0
+    for params in [SurfaceParams(g, k) for g in (3, 5, 7) for k in range(2, 6)]:
+        for v in vectors:
+            for t in types:
+                verdict, sq, balanced = reference_verdict(params, v, t)
+                assert type_verdict(params, v, t) is verdict, (params, v, t)
+                try:
+                    res = balanced_nonempty(params, v, t)
+                except DomainError as exc:
+                    assert exc.code == "not_balanced" and not balanced, (params, v, t)
+                else:
+                    assert balanced and (res.verdict, res.square) == (verdict, sq), (params, v, t)
+                cases += 1
+    assert cases == 99_072
 
 
 def test_enumerate_types_budget(monkeypatch):
