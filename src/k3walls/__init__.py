@@ -44,12 +44,10 @@ from .stability import (
     wall_on_axis,
 )
 from .strata import (
-    NonemptinessVerdict,
     StabilityType,
     StratumExtremes,
     TypeEnumeration,
     Verdict,
-    balanced_nonempty,
     balanced_type,
     dimension_extremes,
     ell_value,

@@ -177,9 +177,11 @@ class ChainReport:
 
 
 def verify_chain(chain: ChainSeries) -> ChainReport:
-    """Check complementarity, the 0/1 adjusted pattern, and the telescoped total."""
+    """Check the numbering 1..g, complementarity, the 0/1 adjusted pattern and the total."""
     g, r, d = chain.g, chain.r, chain.d
     failures: list[str] = []
+    if [comp.a for comp in chain.components] != list(range(1, g + 1)):
+        failures.append(f"components are not numbered 1..{g}")
     zero_range = (r + 1) * (g - d + r)
     for comp in chain.components:
         try:

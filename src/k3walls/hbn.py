@@ -26,7 +26,9 @@ def rho_k(g: int, k: int, r: int, d: int) -> tuple[int, list[int]]:
     With A = r+1 and B = g-d+r the objective is g - (A-ell)(B-ell) - ell*k,
     a strictly concave quadratic in ell with vertex (A+B-k)/2.  So the
     maximum over the integers of [0, r] sits at the floor or the ceiling of
-    the vertex, each clamped to [0, r], and only those two are evaluated.
+    the vertex, each clamped to [0, r].  The two differ only when neither
+    was clamped and the vertex is a half-integer; the quadratic is
+    symmetric about its vertex, so then both win, and one evaluation does.
     """
     if r < 0:
         raise DomainError(f"r must be >= 0, got {r}", code="bad_rank")
@@ -34,13 +36,7 @@ def rho_k(g: int, k: int, r: int, d: int) -> tuple[int, list[int]]:
     twice_vertex = (r + 1) + (g - d + r) - k
     half = twice_vertex // 2
     lo, hi = (min(max(ell, 0), r) for ell in (half, twice_vertex - half))  # floor, ceiling
-    best = rho(g, r - lo, d) - lo * k
-    if hi == lo:
-        return best, [lo]
-    other = rho(g, r - hi, d) - hi * k
-    if other == best:  # a vertex at a half-integer: both win, in ascending order
-        return best, [lo, hi]
-    return (best, [lo]) if best > other else (other, [hi])
+    return rho(g, r - lo, d) - lo * k, [lo] if lo == hi else [lo, hi]
 
 
 @dataclass(frozen=True)

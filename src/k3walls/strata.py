@@ -257,72 +257,30 @@ class Verdict(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class NonemptinessVerdict:
-    verdict: Verdict
-    square: int
-
-
-def _balanced_case(v: MukaiVector, t: StabilityType) -> bool:
-    """Whether balanced_nonempty decides t for v.
-
-    It decides a balanced type {(e+1, m1), (e, m2)}, m1 = 0 allowed, of a
-    vector of shape (r0 <= 0, H - a0*E, s0 + r0) in one of two degree cases:
-    generic (ch2 < 0) or genus minus one (rank 0 and ch2 = 0).  A vector of
-    another shape is an error.
-    """
-    check_special_shape(v)
-    if v.r > 0 or not (v.ch2 < 0 or v.r == v.ch2 == 0):
-        return False
-    return t.p == 1 or (t.p == 2 and t.pairs[0][0] == t.pairs[1][0] + 1)
-
-
 def balanced_type(r: int, ell: int) -> StabilityType:
     """The type {(e+1, m1), (e, m2)} of ell_decompose(r, ell), without a pair of m1 = 0."""
     dec = ell_decompose(r, ell)
     return StabilityType(tuple((e, m) for e, m in ((dec.e + 1, dec.m1), (dec.e, dec.m2)) if m))
 
 
-def _verdict(
-    params: SurfaceParams, v: MukaiVector, t: StabilityType, decided: bool
-) -> tuple[Verdict, int]:
-    """The verdict on t and its residual square; decided is _balanced_case(v, t).
-
-    A square below -2 forces emptiness.  A decided type with square >= -2
-    is non-empty within its multiplicity bound on M = m1+m2: M < k in the
-    genus-minus-one case, M <= k+r0 otherwise.  Anything else is unknown.
-    """
-    sq = _residual_square(params, v, t.sum_m, t.sum_me)
-    if sq < -2:
-        return Verdict.EMPTY_BY_NECESSITY, sq
-    if decided and (t.sum_m < params.k if v.ch2 == 0 else t.sum_m <= params.k + v.r):
-        return Verdict.NON_EMPTY, sq
-    return Verdict.UNKNOWN, sq
-
-
-def balanced_nonempty(
-    params: SurfaceParams, v: MukaiVector, t: StabilityType
-) -> NonemptinessVerdict:
-    """Decide non-emptiness for a balanced type {(e+1, m1), (e, m2)}.
-
-    Non-empty when the residual square is >= -2 and the multiplicity bound
-    holds (m1+m2 <= k+r0 in the generic case; strictly below k, with r0 = 0,
-    in the genus-minus-one case).  A square below -2 forces emptiness.  When
-    only the multiplicity bound fails the answer is genuinely unknown.
-    """
-    if not _balanced_case(v, t):
-        raise DomainError(f"no balanced verdict for type {t.to_list()} of {v}", code="not_balanced")
-    return NonemptinessVerdict(*_verdict(params, v, t, True))
-
-
 def type_verdict(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> Verdict:
-    """The emptiness verdict of any type of v, a vector of shape (r0, H - a0*E, s0 + r0).
+    """The emptiness verdict of any type t of v, a vector of shape (r0, H - a0*E, s0 + r0).
 
-    A type that balanced_nonempty decides gets its verdict.  Any other type
-    is empty by necessity when it fails the square filter, which reads the
-    same residual square, and unknown otherwise.
+    A type that fails the square filter is empty by necessity.  A balanced
+    type {(e+1, m1), (e, m2)}, m1 = 0 allowed, of a vector in a decided
+    degree case, generic (r0 <= 0, ch2 < 0) or genus minus one
+    (r0 = ch2 = 0), is non-empty within its multiplicity bound on
+    M = m1+m2: M <= k+r0 in the generic case, M < k in the genus-minus-one
+    case.  Anything else is unknown.
     """
-    return _verdict(params, v, t, _balanced_case(v, t))[0]
+    check_special_shape(v)
+    if not passes_square_filter(params, v, t):
+        return Verdict.EMPTY_BY_NECESSITY
+    decided = v.r <= 0 and (v.ch2 < 0 or v.r == v.ch2 == 0)
+    balanced = t.p == 1 or (t.p == 2 and t.pairs[0][0] == t.pairs[1][0] + 1)
+    if decided and balanced and (t.sum_m < params.k if v.ch2 == 0 else t.sum_m <= params.k + v.r):
+        return Verdict.NON_EMPTY
+    return Verdict.UNKNOWN
 
 
 def wall_sequence(sp: StabilityParams, v: MukaiVector, t: StabilityType) -> list[WallPoint]:

@@ -239,9 +239,14 @@ def check_strata_square_filter(max_g, max_k):
     for g, k, d, r in _grid(min(max_g, 8), min(max_k, 5), range(4)):
         params, v = lattice.SurfaceParams(g, k), _vector_for(g, d)
         for t in types[r]:
-            dropped = not strata.passes_square_filter(params, v, t)
+            kept = strata.passes_square_filter(params, v, t)
+            residual = lattice.MukaiVector(v.r - t.sum_m, v.x, v.y - t.sum_me, v.s - t.sum_m)
+            if kept != (lattice.square(params, residual) >= -2):
+                raise CheckFailed(
+                    f"filter/square mismatch for {t.to_list()} at ({g},{k},{d},{r})"
+                )
             verdict = strata.type_verdict(params, v, t)
-            if dropped != (verdict is strata.Verdict.EMPTY_BY_NECESSITY):
+            if kept == (verdict is strata.Verdict.EMPTY_BY_NECESSITY):
                 raise CheckFailed(
                     f"filter/verdict mismatch for {t.to_list()} at ({g},{k},{d},{r})"
                 )

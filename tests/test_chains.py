@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from k3walls import (
@@ -117,3 +119,45 @@ def test_tampered_chain_detected():
 def test_report_carries_convention_note():
     report = verify_chain(build_chain(5, 4, 1, 4))
     assert any("arithmetic progression" in note for note in report.notes)
+
+
+def test_verify_chain_needs_every_component():
+    # components 2..5 of a genus-5 chain glue and telescope to rho = 1, but
+    # a chain of genus 5 has five components
+    chain = build_chain(5, 4, 1, 4)
+    report = verify_chain(dataclasses.replace(chain, components=chain.components[1:]))
+    assert not report.ok
+    assert report.failures == ("components are not numbered 1..5",)
+    report = verify_chain(dataclasses.replace(chain, components=chain.components[:-1]))
+    assert report.failures == (
+        "components are not numbered 1..5",
+        "total adjusted count 0 != rho = 1",
+    )
+
+
+def test_verify_chain_stored_count_detected():
+    chain = build_chain(5, 4, 1, 4)
+    comp = chain.components[2]
+    bumped = dataclasses.replace(comp, adjusted_rho=comp.adjusted_rho + 1)
+    components = chain.components[:2] + (bumped,) + chain.components[3:]
+    report = verify_chain(dataclasses.replace(chain, components=components))
+    assert report.failures == (
+        "component 3: stored adjusted count 1 != 0",
+        "total adjusted count 2 != rho = 1",
+    )
+
+
+def test_verify_chain_pattern_detected():
+    # moving one unit of weight across node 1 keeps complementarity and the
+    # total, but components 1 and 2 leave the zero range's 0/1 pattern
+    chain = build_chain(5, 4, 1, 4)
+    first, second = chain.components[:2]
+    assert (first.alpha_out, second.alpha_in) == (seq(2, 3), seq(0, 1))
+    first = dataclasses.replace(first, alpha_out=seq(1, 3), adjusted_rho=1)
+    second = dataclasses.replace(second, alpha_in=seq(0, 2), adjusted_rho=-1)
+    report = verify_chain(dataclasses.replace(chain, components=(first, second) + chain.components[2:]))
+    assert report.total_adjusted == 1
+    assert report.failures == (
+        "component 1: adjusted count 1, expected 0",
+        "component 2: adjusted count -1, expected 0",
+    )

@@ -99,6 +99,14 @@ def test_decompose_with_context(capsys):
     assert "h0" in block["h0_conditions"]
 
 
+def test_decompose_partial_context(capsys):
+    code, out, _ = run_cli(capsys, "decompose", "--r", "1", "--ell", "1", "--g", "5")
+    assert code == 0
+    report = payload(out)
+    assert "degeneracy" not in report["result"]
+    assert report["warnings"] == ["degeneracy block needs all of --g, --k, --d; skipped"]
+
+
 def test_types_command(capsys):
     code, out, _ = run_cli(
         capsys, "types", "--g", "5", "--k", "2", "--v", "0,1,0,-1", "--r", "1",
@@ -159,6 +167,15 @@ def test_types_error_order(capsys, argv, error):
     code, out, _ = run_cli(capsys, "types", *argv)
     assert code == 1
     assert payload(out)["error"]["code"] == error
+
+
+def test_types_bad_vector_entry(capsys):
+    code, out, _ = run_cli(capsys, "types", "--g", "5", "--k", "2", "--v", "0,a,0,1", "--r", "1")
+    assert code == 1
+    assert payload(out)["error"] == {
+        "code": "bad_vector",
+        "message": "bad vector '0,a,0,1': invalid literal for int() with base 10: 'a'",
+    }
 
 
 @pytest.mark.parametrize("g", ["10001", str(10**50)])
@@ -351,6 +368,10 @@ def test_exit_code_on_domain_error(capsys):
         # a negative node budget is bad input, checked after the pencil degree
         (["tableaux", "--g", "3", "--k", "2", "--r", "1", "--d", "2", "--budget", "-1"], "bad_budget"),
         (["tableaux", "--g", "3", "--k", "0", "--r", "1", "--d", "2", "--budget", "-1"], "bad_pencil_degree"),
+        # a valid grid, so the suite name is what fails
+        (["verify", "--suite", "x", "--max-g", "4", "--max-k", "3"], "unknown_suite"),
+        # k >= r+2 and d <= g-1 hold, so the rank is what fails
+        (["chain", "--g", "5", "--k", "1", "--r", "-1", "--d", "3"], "bad_rank"),
     ],
 )
 def test_exit_code_on_bad_pencil_degree(capsys, argv, error):

@@ -15,7 +15,6 @@ from k3walls import (
     SurfaceParams,
     Tableau,
     Verdict,
-    balanced_nonempty,
     balanced_type,
     dimension_extremes,
     ell_value,
@@ -221,51 +220,27 @@ def test_stratum_dimension_examples():
     assert stratum_dimension(P52, V53, mk((1, 1), (0, 1))) == 2
 
 
-def test_balanced_nonempty_examples():
-    res = balanced_nonempty(P52, V53, mk((1, 1)))
-    assert res.verdict is Verdict.NON_EMPTY and res.square == 0
-    res = balanced_nonempty(P52, V53, mk((2, 1)))
-    assert res.verdict is Verdict.EMPTY_BY_NECESSITY and res.square == -4
+def test_balanced_verdict_examples():
+    assert type_verdict(P52, V53, mk((1, 1))) is Verdict.NON_EMPTY
+    assert square(P52, residual_vector(V53, mk((1, 1)))) == 0
+    assert type_verdict(P52, V53, mk((2, 1))) is Verdict.EMPTY_BY_NECESSITY
+    assert square(P52, residual_vector(V53, mk((2, 1)))) == -4
     # square dominates the multiplicity bound: with m1+m2 = 3 > k+r0 = 2 the
     # residual square is -24, so the verdict is still forced emptiness
-    res = balanced_nonempty(P52, V53, mk((1, 2), (0, 1)))
-    assert res.verdict is Verdict.EMPTY_BY_NECESSITY and res.square == -24
+    t = mk((1, 2), (0, 1))
+    assert type_verdict(P52, V53, t) is Verdict.EMPTY_BY_NECESSITY
+    assert square(P52, residual_vector(V53, t)) == -24
+    # genus minus one: the square is 0, so only the bound M < k = 3 fails
+    assert square(SurfaceParams(10, 3), residual_vector(MukaiVector(0, 1, 0, 0), mk((0, 3)))) == 0
 
 
-def test_balanced_nonempty_unknown():
-    # square fine, multiplicity bound violated: genuinely undecided
-    params = SurfaceParams(20, 2)
-    v = MukaiVector(0, 1, 0, -1)  # degree 18
-    res = balanced_nonempty(params, v, mk((0, 3)))
-    assert res.verdict is Verdict.UNKNOWN
-    assert res.square >= -2
-
-
-def test_balanced_nonempty_genus_minus_one():
-    params = SurfaceParams(10, 3)
-    v = MukaiVector(0, 1, 0, 0)  # rank 0, ch2 = 0: the genus-minus-one case
-    res = balanced_nonempty(params, v, mk((0, 2)))
-    assert res.verdict is Verdict.NON_EMPTY  # m1+m2 = 2 < k = 3
-    res = balanced_nonempty(params, v, mk((0, 3)))
-    assert res.square == 0
-    assert res.verdict is Verdict.UNKNOWN  # m1+m2 = 3 is not strictly below k
-
-
-def test_balanced_nonempty_errors():
-    with pytest.raises(DomainError, match="no balanced verdict"):
-        balanced_nonempty(P52, V53, mk((3, 1), (1, 1)))  # levels 3 and 1 are not adjacent
-    with pytest.raises(DomainError, match="no balanced verdict"):
-        balanced_nonempty(P52, MukaiVector(1, 1, 0, 0), mk((0, 1)))  # positive rank
-    with pytest.raises(DomainError, match="no balanced verdict"):
-        balanced_nonempty(P52, MukaiVector(-1, 1, 0, -1), mk((0, 1)))  # ch2 = 0 off rank 0
-    for decide in (balanced_nonempty, type_verdict):
-        with pytest.raises(DomainError, match="expected a vector of shape"):
-            decide(P52, MukaiVector(0, 2, 0, -1), mk((0, 1)))  # not (r0, H - a0*E, s0 + r0)
+def test_type_verdict_shape_errors():
+    with pytest.raises(DomainError, match="expected a vector of shape"):
+        type_verdict(P52, MukaiVector(0, 2, 0, -1), mk((0, 1)))  # not (r0, H - a0*E, s0 + r0)
 
 
 def test_type_verdict_checks_the_shape_once(monkeypatch):
-    # one _balanced_case call per type checks the shape and tells whether
-    # the balanced rule decides it
+    # one shape check per type, and the types of r = 3 reach every verdict
     calls = []
 
     def spy(v):
@@ -274,15 +249,13 @@ def test_type_verdict_checks_the_shape_once(monkeypatch):
 
     monkeypatch.setattr(strata, "check_special_shape", spy)
     types = enumerate_types(3).items
-    verdicts = [type_verdict(P52, V53, t) for t in types]
+    verdicts = {type_verdict(SurfaceParams(10, 2), V53, t) for t in types}
     assert len(calls) == len(types)
-    balanced = [(t, verdict) for t, verdict in zip(types, verdicts) if strata._balanced_case(V53, t)]
-    assert balanced
-    assert all(balanced_nonempty(P52, V53, t).verdict is verdict for t, verdict in balanced)
+    assert verdicts == set(Verdict)
 
 
 def reference_verdict(params, v, t):
-    """(verdict, residual square, balanced) of t for v on MukaiVectors.
+    """(verdict, residual square) of t for v on MukaiVectors.
 
     A balanced type {(e+1, m1), (e, m2)} of a vector in a decided degree case
     gets the square of v - m1*(1, (e+1)E, 1) - m2*(1, eE, 1) and the
@@ -296,12 +269,12 @@ def reference_verdict(params, v, t):
         (_, m1), (e, m2) = t.pairs
     else:
         sq = square(params, residual_vector(v, t))
-        return (Verdict.EMPTY_BY_NECESSITY if sq < -2 else Verdict.UNKNOWN), sq, False
+        return (Verdict.EMPTY_BY_NECESSITY if sq < -2 else Verdict.UNKNOWN), sq
     sq = square(params, v - m1 * line_bundle_vector(e + 1) - m2 * line_bundle_vector(e))
     if sq < -2:
-        return Verdict.EMPTY_BY_NECESSITY, sq, True
+        return Verdict.EMPTY_BY_NECESSITY, sq
     within = m1 + m2 < params.k if v.ch2 == 0 else m1 + m2 <= params.k + v.r
-    return (Verdict.NON_EMPTY if within else Verdict.UNKNOWN), sq, True
+    return (Verdict.NON_EMPTY if within else Verdict.UNKNOWN), sq
 
 
 def test_verdicts_match_object_path():
@@ -315,14 +288,9 @@ def test_verdicts_match_object_path():
     for params in [SurfaceParams(g, k) for g in (3, 5, 7) for k in range(2, 6)]:
         for v in vectors:
             for t in types:
-                verdict, sq, balanced = reference_verdict(params, v, t)
+                verdict, sq = reference_verdict(params, v, t)
                 assert type_verdict(params, v, t) is verdict, (params, v, t)
-                try:
-                    res = balanced_nonempty(params, v, t)
-                except DomainError as exc:
-                    assert exc.code == "not_balanced" and not balanced, (params, v, t)
-                else:
-                    assert balanced and (res.verdict, res.square) == (verdict, sq), (params, v, t)
+                assert strata._residual_square(params, v, t.sum_m, t.sum_me) == sq, (params, v, t)
                 cases += 1
     assert cases == 99_072
 
@@ -379,6 +347,8 @@ def test_type_sums_match_enumeration(refined):
         (SurfaceParams(10, 3), MukaiVector(0, 1, 0, 0), mk((0, 2)), Verdict.NON_EMPTY),  # genus - 1
         (P52, V53, mk((2, 1), (0, 1)), Verdict.EMPTY_BY_NECESSITY),  # unbalanced, square -12
         (SurfaceParams(20, 2), V53, mk((2, 1), (0, 1)), Verdict.UNKNOWN),  # unbalanced, square 18
+        (SurfaceParams(20, 2), V53, mk((0, 3)), Verdict.UNKNOWN),  # balanced, M = 3 > k + r0 = 2
+        (SurfaceParams(10, 3), MukaiVector(0, 1, 0, 0), mk((0, 3)), Verdict.UNKNOWN),  # genus - 1, M = k
     ],
 )
 def test_type_verdict_cases(params, v, t, expected):
@@ -417,13 +387,23 @@ def test_wall_sequence_shape_errors():
 
 
 def test_residual_square_meaning():
-    # residual square of the full type equals the balanced witness square
+    # the integer residual square is the square of the full residual vector
     t = mk((1, 1), (0, 1))
-    res = balanced_nonempty(P52, V53, t)
-    assert res.square == square(P52, residual_vector(V53, t))
+    assert strata._residual_square(P52, V53, t.sum_m, t.sum_me) == square(P52, residual_vector(V53, t))
     # the square filter keeps a type exactly when that square is >= -2
     assert passes_square_filter(P52, V53, mk((1, 1)))  # square 0
     assert not passes_square_filter(P52, V53, mk((2, 1)))  # square -4
+
+
+def test_square_filter_check_catches_a_moved_threshold(monkeypatch):
+    # the verdict reads the filter, so the check also compares the filter
+    # with the square of the residual MukaiVector
+    def moved(params, v, t):
+        return strata._residual_square(params, v, t.sum_m, t.sum_me) >= 0
+
+    monkeypatch.setattr(strata, "passes_square_filter", moved)
+    with pytest.raises(verify.CheckFailed, match=r"filter/square mismatch for \[\[1, 1\]\] at \(3,2,2,1\)"):
+        verify.check_strata_square_filter(8, 5)
 
 
 def reference_numerics(params, v, t):
