@@ -16,8 +16,7 @@ out of scope here; only the numerical data is modeled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._value import set_attr, value_class
 from .errors import DomainError
 from .hbn import rho
 
@@ -32,18 +31,17 @@ TORSION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
+@value_class
 class RamificationSequence:
     """Non-decreasing integers 0 <= a_0 <= ... <= a_r <= d-r, a tuple of plain ints."""
 
-    alphas: tuple[int, ...]
-
-    def __post_init__(self):
-        if type(self.alphas) is not tuple or not all(type(a) is int for a in self.alphas):
+    def __init__(self, alphas: tuple[int, ...]):
+        if type(alphas) is not tuple or not all(type(a) is int for a in alphas):
             raise DomainError(
-                f"entries must be a tuple of integers, got {self.alphas!r}",
+                f"entries must be a tuple of integers, got {alphas!r}",
                 code="ill_formed_ramification",
             )
+        set_attr(self, "alphas", alphas)
 
     def validate(self, r: int, d: int) -> None:
         if r < 0:
@@ -74,12 +72,15 @@ def complement(r: int, d: int, seq: RamificationSequence) -> RamificationSequenc
     return RamificationSequence(tuple(d - r - a[r - j] for j in range(r + 1)))
 
 
-@dataclass(frozen=True)
+@value_class
 class ChainComponent:
-    a: int
-    alpha_in: RamificationSequence
-    alpha_out: RamificationSequence
-    adjusted_rho: int
+    def __init__(
+        self, a: int, alpha_in: RamificationSequence, alpha_out: RamificationSequence, adjusted_rho: int
+    ):
+        set_attr(self, "a", a)
+        set_attr(self, "alpha_in", alpha_in)
+        set_attr(self, "alpha_out", alpha_out)
+        set_attr(self, "adjusted_rho", adjusted_rho)
 
     def to_dict(self) -> dict:
         return {
@@ -90,13 +91,14 @@ class ChainComponent:
         }
 
 
-@dataclass(frozen=True)
+@value_class
 class ChainSeries:
-    g: int
-    k: int
-    r: int
-    d: int
-    components: tuple[ChainComponent, ...]
+    def __init__(self, g: int, k: int, r: int, d: int, components: tuple[ChainComponent, ...]):
+        set_attr(self, "g", g)
+        set_attr(self, "k", k)
+        set_attr(self, "r", r)
+        set_attr(self, "d", d)
+        set_attr(self, "components", components)
 
     def to_dict(self) -> dict:
         return {"components": [c.to_dict() for c in self.components]}
@@ -158,13 +160,21 @@ def build_chain(g: int, k: int, r: int, d: int) -> ChainSeries:
     return ChainSeries(g=g, k=k, r=r, d=d, components=tuple(components))
 
 
-@dataclass(frozen=True)
+@value_class
 class ChainReport:
-    ok: bool
-    failures: tuple[str, ...]
-    total_adjusted: int
-    expected_total: int
-    notes: tuple[str, ...] = field(default=(LAST_RANGE_NOTE, TORSION_NOTE))
+    def __init__(
+        self,
+        ok: bool,
+        failures: tuple[str, ...],
+        total_adjusted: int,
+        expected_total: int,
+        notes: tuple[str, ...] = (LAST_RANGE_NOTE, TORSION_NOTE),
+    ):
+        set_attr(self, "ok", ok)
+        set_attr(self, "failures", failures)
+        set_attr(self, "total_adjusted", total_adjusted)
+        set_attr(self, "expected_total", expected_total)
+        set_attr(self, "notes", notes)
 
     def to_dict(self) -> dict:
         return {

@@ -8,9 +8,9 @@ splitting types of pushforwards to the projective line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable
 
+from ._value import set_attr, value_class
 from .errors import DomainError, OracleViolation
 from .lattice import check_pencil_degree
 
@@ -39,17 +39,18 @@ def rho_k(g: int, k: int, r: int, d: int) -> tuple[int, list[int]]:
     return rho(g, r - lo, d) - lo * k, [lo] if lo == hi else [lo, hi]
 
 
-@dataclass(frozen=True)
+@value_class
 class EllDecomposition:
     """Balanced data (e, m1, m2) attached to an index ell.
 
     Satisfies r+1 = m1(e+2) + m2(e+1) and ell = e(r+1-ell) + m1.
     """
 
-    ell: int
-    e: int
-    m1: int
-    m2: int
+    def __init__(self, ell: int, e: int, m1: int, m2: int):
+        set_attr(self, "ell", ell)
+        set_attr(self, "e", e)
+        set_attr(self, "m1", m1)
+        set_attr(self, "m2", m2)
 
 
 def ell_decompose(r: int, ell: int) -> EllDecomposition:
@@ -61,14 +62,15 @@ def ell_decompose(r: int, ell: int) -> EllDecomposition:
     return EllDecomposition(ell=ell, e=e, m1=m1, m2=width - m1)
 
 
-@dataclass(frozen=True)
+@value_class
 class DegeneracyDims:
     """Numerics of the multiplication-map degeneracy locus at index ell."""
 
-    s: int
-    rk_e: int
-    rk_f: int
-    expected_dim: int
+    def __init__(self, s: int, rk_e: int, rk_f: int, expected_dim: int):
+        set_attr(self, "s", s)
+        set_attr(self, "rk_e", rk_e)
+        set_attr(self, "rk_f", rk_f)
+        set_attr(self, "expected_dim", expected_dim)
 
 
 def degeneracy_dims(g: int, k: int, d: int, r: int, ell: int) -> DegeneracyDims:
@@ -99,26 +101,25 @@ def degeneracy_dims(g: int, k: int, d: int, r: int, ell: int) -> DegeneracyDims:
     return DegeneracyDims(s=s, rk_e=rk_e, rk_f=rk_f, expected_dim=expected)
 
 
-@dataclass(frozen=True)
+@value_class
 class SplittingType:
     """Multidegree {(f_i, n_i)} of a pushforward to the line, f_1 > ... > f_q.
 
     pairs is a tuple of 2-tuples of plain ints; nothing is coerced.
     """
 
-    pairs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if type(self.pairs) is not tuple or not all(
+    def __init__(self, pairs: tuple[tuple[int, int], ...]):
+        if type(pairs) is not tuple or not all(
             type(pair) is tuple and len(pair) == 2 and all(type(n) is int for n in pair)
-            for pair in self.pairs
+            for pair in pairs
         ):
             raise DomainError("a splitting type is a tuple of integer pairs", code="ill_formed_splitting")
-        fs = [f for f, _ in self.pairs]
-        if any(n <= 0 for _, n in self.pairs):
+        fs = [f for f, _ in pairs]
+        if any(n <= 0 for _, n in pairs):
             raise DomainError("splitting multiplicities must be positive", code="ill_formed_splitting")
         if any(a <= b for a, b in zip(fs, fs[1:])):
             raise DomainError("splitting degrees must strictly decrease", code="ill_formed_splitting")
+        set_attr(self, "pairs", pairs)
 
     def values(self) -> list[int]:
         """Degrees expanded with multiplicity, descending."""
@@ -152,7 +153,7 @@ def splitting_nonneg_part(g: int, k: int, d: int, st: SplittingType) -> Splittin
     return SplittingType(tuple((f, n) for f, n in st.pairs if f >= 0))
 
 
-def balanced_correspondence(nonneg: Iterable[int] | Sequence[int]) -> tuple[int, int, int]:
+def balanced_correspondence(nonneg: Iterable[int]) -> tuple[int, int, int]:
     """Read balanced data (e, m1, m2) off the nonnegative degrees.
 
     The degrees must occupy at most two consecutive levels {e+1, e}; a single

@@ -10,8 +10,7 @@ Everything here is pure and uses arbitrary-precision integers; no floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._value import set_attr, value_class
 from .errors import DomainError, OracleViolation
 
 
@@ -30,42 +29,43 @@ def check_special_shape(v: MukaiVector) -> None:
         )
 
 
-@dataclass(frozen=True)
+@value_class
 class SurfaceParams:
     """The pair (g, k) fixing the lattice: H^2 = 2g-2, E^2 = 0, H.E = k."""
 
-    g: int
-    k: int
-
-    def __post_init__(self):
-        if self.g < 3:
-            raise DomainError(f"genus must be >= 3, got {self.g}", code="bad_genus")
-        check_pencil_degree(self.k)
+    def __init__(self, g: int, k: int):
+        if g < 3:
+            raise DomainError(f"genus must be >= 3, got {g}", code="bad_genus")
+        check_pencil_degree(k)
+        set_attr(self, "g", g)
+        set_attr(self, "k", k)
 
     @property
     def h_square(self) -> int:
         return 2 * self.g - 2
 
 
-@dataclass(frozen=True)
+@value_class
 class PicClass:
     """A divisor class x*H + y*E in the (H, E) basis."""
 
-    x: int
-    y: int
+    def __init__(self, x: int, y: int):
+        set_attr(self, "x", x)
+        set_attr(self, "y", y)
 
 
-@dataclass(frozen=True)
+@value_class
 class MukaiVector:
     """Integer vector (r, x*H + y*E, s) in the extended lattice.
 
     Chern character: ch0 = r, ch1 = x*H + y*E, ch2 = s - r.
     """
 
-    r: int
-    x: int
-    y: int
-    s: int
+    def __init__(self, r: int, x: int, y: int, s: int):
+        set_attr(self, "r", r)
+        set_attr(self, "x", x)
+        set_attr(self, "y", y)
+        set_attr(self, "s", s)
 
     @property
     def ch2(self) -> int:

@@ -8,10 +8,9 @@ reported on the central ray, as points (0, w) with w >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
 
+from ._value import set_attr, value_class
 from .errors import DomainError
 from .jsonio import frac_str
 from .lattice import MukaiVector, SurfaceParams, check_special_shape
@@ -19,7 +18,7 @@ from .lattice import MukaiVector, SurfaceParams, check_special_shape
 #: Slope of classes with vanishing imaginary part.
 INFINITE_SLOPE = float("inf")
 
-Slope = Union[Fraction, float]
+Slope = Fraction | float
 
 KIND_LINE_BUNDLE = "line_bundle"
 KIND_RANK_ZERO = "rank_zero"
@@ -36,7 +35,7 @@ def _positive_eps(eps) -> Fraction:
     return eps
 
 
-@dataclass(frozen=True)
+@value_class
 class StabilityParams:
     """Surface data together with the slice parameter eps > 0.
 
@@ -49,35 +48,30 @@ class StabilityParams:
     - e_dot_h_eps = E.H_eps = eps*k.
     """
 
-    surface: SurfaceParams
-    eps: Fraction
-
-    def __post_init__(self):
-        eps = _positive_eps(self.eps)
-        g, k = self.surface.g, self.surface.k
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "h_eps_square", 2 * eps * k + eps * eps * (2 * g - 2))
-        object.__setattr__(self, "h_dot_h_eps", k + eps * (2 * g - 2))
-        object.__setattr__(self, "e_dot_h_eps", eps * k)
+    def __init__(self, surface: SurfaceParams, eps: Fraction):
+        eps = _positive_eps(eps)
+        g, k = surface.g, surface.k
+        set_attr(self, "surface", surface)
+        set_attr(self, "eps", eps)
+        set_attr(self, "h_eps_square", 2 * eps * k + eps * eps * (2 * g - 2))
+        set_attr(self, "h_dot_h_eps", k + eps * (2 * g - 2))
+        set_attr(self, "e_dot_h_eps", eps * k)
 
     def pic_dot_h_eps(self, x: int, y: int) -> Fraction:
         """(x*H + y*E).H_eps."""
         return x * self.h_dot_h_eps + y * self.e_dot_h_eps
 
 
-@dataclass(frozen=True)
+@value_class
 class StabilityPoint:
     """A point (b, w) of the stability plane; construction makes b and w Fractions."""
 
-    b: Fraction
-    w: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "w", Fraction(self.w))
+    def __init__(self, b: Fraction, w: Fraction):
+        set_attr(self, "b", Fraction(b))
+        set_attr(self, "w", Fraction(w))
 
 
-@dataclass(frozen=True)
+@value_class
 class WallPoint:
     """A wall position w >= 0 on the ray b = 0.
 
@@ -86,10 +80,11 @@ class WallPoint:
     class with vanishing imaginary part.
     """
 
-    w: Fraction
-    destabilizer: MukaiVector
-    kind: str
-    e: Optional[int] = None
+    def __init__(self, w: Fraction, destabilizer: MukaiVector, kind: str, e: int | None = None):
+        set_attr(self, "w", w)
+        set_attr(self, "destabilizer", destabilizer)
+        set_attr(self, "kind", kind)
+        set_attr(self, "e", e)
 
     def to_dict(self) -> dict:
         d = {"w": frac_str(self.w), "destabilizer": self.destabilizer.to_dict(), "kind": self.kind}
@@ -133,7 +128,7 @@ def _proportional(t1, t2) -> bool:
     return a1 * b2 == a2 * b1 and a1 * c2 == a2 * c1 and b1 * c2 == b2 * c1
 
 
-def _wall_kind(v: MukaiVector) -> tuple[str, Optional[int]]:
+def _wall_kind(v: MukaiVector) -> tuple[str, int | None]:
     """Shape of a destabilizer whose imaginary part on b = 0 is nonzero."""
     if v.r == 0:
         return KIND_RANK_ZERO, None

@@ -9,15 +9,15 @@ unique type of section count zero (r = -1).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
+from ._value import set_attr, value_class
 from .errors import DomainError, SearchBudgetExceeded
 from .hbn import ell_decompose
 from .lattice import MukaiVector, SurfaceParams, check_special_shape, line_bundle_vector
 from .stability import StabilityParams, WallPoint, wall_on_axis
 
 
-@dataclass(frozen=True)
+@value_class
 class StabilityType:
     """Ordered pairs (e_i, m_i), strictly decreasing e, positive m; possibly empty.
 
@@ -26,10 +26,7 @@ class StabilityType:
     attributes rather than fields, which every per-type sum below reads.
     """
 
-    pairs: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        pairs = self.pairs
+    def __init__(self, pairs: tuple[tuple[int, int], ...] = ()):
         if type(pairs) is not tuple:
             raise DomainError("ill-formed type", code="ill_formed_type")
         sum_m = sum_me = 0
@@ -41,8 +38,9 @@ class StabilityType:
                 raise DomainError("ill-formed type", code="ill_formed_type")
             sum_m += pair[1]
             sum_me += pair[1] * pair[0]
-        object.__setattr__(self, "sum_m", sum_m)
-        object.__setattr__(self, "sum_me", sum_me)
+        set_attr(self, "pairs", pairs)
+        set_attr(self, "sum_m", sum_m)
+        set_attr(self, "sum_me", sum_me)
 
     @property
     def p(self) -> int:
@@ -102,9 +100,10 @@ def passes_square_filter(params: SurfaceParams, v: MukaiVector, t: StabilityType
     return _residual_square(params, v, t.sum_m, t.sum_me) >= -2
 
 
-@dataclass(frozen=True)
+@value_class
 class TypeEnumeration:
-    items: tuple[StabilityType, ...]
+    def __init__(self, items: tuple[StabilityType, ...]):
+        set_attr(self, "items", items)
 
 
 #: The most types enumerate_types lists (r = 10 has 353,657; r = 11 has
@@ -183,7 +182,7 @@ def stratum_dimension(params: SurfaceParams, v: MukaiVector, t: StabilityType) -
     return _dimension(params, v, t.sum_m, t.sum_me)
 
 
-@dataclass(frozen=True)
+@value_class
 class StratumExtremes:
     """Stratum dimensions of the valid types of r with one value of ell.
 
@@ -192,10 +191,11 @@ class StratumExtremes:
     are none.
     """
 
-    ell: int
-    least: int
-    largest: int
-    saturated: int | None
+    def __init__(self, ell: int, least: int, largest: int, saturated: int | None):
+        set_attr(self, "ell", ell)
+        set_attr(self, "least", least)
+        set_attr(self, "largest", largest)
+        set_attr(self, "saturated", saturated)
 
 
 def _type_sums(r: int, refined: bool) -> dict[int, int]:

@@ -10,7 +10,6 @@ quadratic Bezier, which is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .errors import DomainError
 from .lattice import MukaiVector
@@ -112,7 +111,7 @@ def render_wall_diagram(
     body.extend(_axes(canvas))
     body.append(_parabola(canvas))
 
-    proj: Optional[tuple[Fraction, Fraction]] = None
+    proj: tuple[Fraction, Fraction] | None = None
     if v.r != 0:
         proj = projection(sp, v)
 

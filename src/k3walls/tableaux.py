@@ -9,19 +9,18 @@ the latter is nonnegative, and detects emptiness when it is negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
+from ._value import set_attr, value_class
 from .errors import DomainError, OracleViolation, SearchBudgetExceeded
 from .hbn import rho_k
 from .lattice import check_pencil_degree
 
 
-@dataclass(frozen=True)
+@value_class
 class Tableau:
     """Row-major grid of positive labels; first index x, second index y."""
 
-    grid: tuple[tuple[int, ...], ...]
+    def __init__(self, grid: tuple[tuple[int, ...], ...]):
+        set_attr(self, "grid", grid)
 
     @property
     def rows(self) -> int:
@@ -89,21 +88,22 @@ def is_valid(g: int, k: int, r: int, d: int, t: Tableau) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+@value_class
 class SearchResult:
-    feasible: bool
-    omitted: Optional[int]
-    witness: Optional[Tableau]
-    nodes: int
+    def __init__(self, feasible: bool, omitted: int | None, witness: Tableau | None, nodes: int):
+        set_attr(self, "feasible", feasible)
+        set_attr(self, "omitted", omitted)
+        set_attr(self, "witness", witness)
+        set_attr(self, "nodes", nodes)
 
 
-def _result(best: int, witness: Optional[Tableau], nodes: int) -> SearchResult:
+def _result(best: int, witness: Tableau | None, nodes: int) -> SearchResult:
     """best = -1 (and no witness) when no valid tableau was found."""
     feasible = best >= 0
     return SearchResult(feasible, best if feasible else None, witness, nodes)
 
 
-def max_omitted(g: int, k: int, r: int, d: int, budget: Optional[int] = None) -> SearchResult:
+def max_omitted(g: int, k: int, r: int, d: int, budget: int | None = None) -> SearchResult:
     """Exhaustive maximum of g - #labels over valid tableaux.
 
     Backtracks over cells in row-major order with ascending labels, so the
@@ -211,17 +211,26 @@ def max_omitted_naive(g: int, k: int, r: int, d: int) -> SearchResult:
     return _result(best, witness, nodes)
 
 
-@dataclass(frozen=True)
+@value_class
 class OracleReport:
-    feasible: bool
-    omitted: Optional[int]
-    rho_k: int
-    argmax_ell: tuple[int, ...]
-    equality: bool
-    witness: Optional[Tableau]
+    def __init__(
+        self,
+        feasible: bool,
+        omitted: int | None,
+        rho_k: int,
+        argmax_ell: tuple[int, ...],
+        equality: bool,
+        witness: Tableau | None,
+    ):
+        set_attr(self, "feasible", feasible)
+        set_attr(self, "omitted", omitted)
+        set_attr(self, "rho_k", rho_k)
+        set_attr(self, "argmax_ell", argmax_ell)
+        set_attr(self, "equality", equality)
+        set_attr(self, "witness", witness)
 
 
-def oracle_check(g: int, k: int, r: int, d: int, budget: Optional[int] = None) -> OracleReport:
+def oracle_check(g: int, k: int, r: int, d: int, budget: int | None = None) -> OracleReport:
     """Run the tableau search against the closed formula and cross-check.
 
     Hard failures: a feasible search exceeding rho_k, or an infeasible search

@@ -16,20 +16,21 @@ from __future__ import annotations
 import json
 import os
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import chains, hbn, lattice, stability, strata, tableaux
+from ._value import set_attr, value_class
 from .errors import DomainError
 
 SUITES = ("lattice", "stability", "strata", "hbn", "tableaux", "chains")
 
 
-@dataclass(frozen=True)
+@value_class
 class CheckResult:
-    name: str
-    ok: bool
-    detail: str
+    def __init__(self, name: str, ok: bool, detail: str):
+        set_attr(self, "name", name)
+        set_attr(self, "ok", ok)
+        set_attr(self, "detail", detail)
 
 
 class CheckFailed(Exception):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from k3walls import (
@@ -121,14 +119,18 @@ def test_report_carries_convention_note():
     assert any("arithmetic progression" in note for note in report.notes)
 
 
+def with_components(chain, components):
+    return ChainSeries(chain.g, chain.k, chain.r, chain.d, components)
+
+
 def test_verify_chain_needs_every_component():
     # components 2..5 of a genus-5 chain glue and telescope to rho = 1, but
     # a chain of genus 5 has five components
     chain = build_chain(5, 4, 1, 4)
-    report = verify_chain(dataclasses.replace(chain, components=chain.components[1:]))
+    report = verify_chain(with_components(chain, chain.components[1:]))
     assert not report.ok
     assert report.failures == ("components are not numbered 1..5",)
-    report = verify_chain(dataclasses.replace(chain, components=chain.components[:-1]))
+    report = verify_chain(with_components(chain, chain.components[:-1]))
     assert report.failures == (
         "components are not numbered 1..5",
         "total adjusted count 0 != rho = 1",
@@ -138,9 +140,9 @@ def test_verify_chain_needs_every_component():
 def test_verify_chain_stored_count_detected():
     chain = build_chain(5, 4, 1, 4)
     comp = chain.components[2]
-    bumped = dataclasses.replace(comp, adjusted_rho=comp.adjusted_rho + 1)
+    bumped = ChainComponent(comp.a, comp.alpha_in, comp.alpha_out, comp.adjusted_rho + 1)
     components = chain.components[:2] + (bumped,) + chain.components[3:]
-    report = verify_chain(dataclasses.replace(chain, components=components))
+    report = verify_chain(with_components(chain, components))
     assert report.failures == (
         "component 3: stored adjusted count 1 != 0",
         "total adjusted count 2 != rho = 1",
@@ -153,9 +155,9 @@ def test_verify_chain_pattern_detected():
     chain = build_chain(5, 4, 1, 4)
     first, second = chain.components[:2]
     assert (first.alpha_out, second.alpha_in) == (seq(2, 3), seq(0, 1))
-    first = dataclasses.replace(first, alpha_out=seq(1, 3), adjusted_rho=1)
-    second = dataclasses.replace(second, alpha_in=seq(0, 2), adjusted_rho=-1)
-    report = verify_chain(dataclasses.replace(chain, components=(first, second) + chain.components[2:]))
+    first = ChainComponent(first.a, first.alpha_in, seq(1, 3), 1)
+    second = ChainComponent(second.a, seq(0, 2), second.alpha_out, -1)
+    report = verify_chain(with_components(chain, (first, second) + chain.components[2:]))
     assert report.total_adjusted == 1
     assert report.failures == (
         "component 1: adjusted count 1, expected 0",

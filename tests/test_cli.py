@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -176,6 +179,18 @@ def test_types_bad_vector_entry(capsys):
         "code": "bad_vector",
         "message": "bad vector '0,a,0,1': invalid literal for int() with base 10: 'a'",
     }
+
+
+def test_types_bad_vector_shape_prints_the_vector(capsys):
+    # the message carries the vector's repr, so these are the exact bytes
+    code, out, err = run_cli(capsys, "types", "--g", "5", "--k", "2", "--v", "0,2,0,-1", "--r", "1")
+    message = (
+        "expected a vector of shape (r0, H - a0*E, s0 + r0) with a0 >= 0, "
+        "got MukaiVector(r=0, x=2, y=0, s=-1)"
+    )
+    assert code == 1
+    assert out == '{"error":{"code":"bad_vector_shape","message":"' + message + '"},"schema_version":"1"}\n'
+    assert err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("g", ["10001", str(10**50)])
@@ -464,6 +479,20 @@ def test_plot_walls_line_kinds(capsys, tmp_path, vector, type_text, slanted, ver
     assert sum(x1 != x2 for x1, x2 in ends) == slanted
     assert sum(x1 == x2 for x1, x2 in ends) == vertical
     assert payload(out)["warnings"] == warnings
+
+
+def test_cli_loads_no_dataclasses_typing_or_inspect():
+    # none of them runs in a call, and together they cost milliseconds at every start
+    script = (
+        "import sys\n"
+        "from k3walls import cli\n"
+        "cli.main(['rho', '--g', '5', '--r', '1', '--d', '3'])\n"
+        "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["rho", "--help"]], ids=["--help", "rho --help"])

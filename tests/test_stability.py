@@ -1,7 +1,5 @@
 from fractions import Fraction
 
-import dataclasses
-
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -60,7 +58,7 @@ def test_derived_quantities_match_formulas(g, k, eps):
     assert sp.h_dot_h_eps == k + eps * (2 * g - 2)
     assert sp.e_dot_h_eps == eps * k
     # they are attributes, not fields: equality, hashing and repr see surface and eps alone
-    assert [f.name for f in dataclasses.fields(sp)] == ["surface", "eps"]
+    assert StabilityParams.__match_args__ == ("surface", "eps")
     twin = StabilityParams(SurfaceParams(g, k), Fraction(eps))
     assert sp == twin and hash(sp) == hash(twin)
     assert repr(sp) == f"StabilityParams(surface={SurfaceParams(g, k)!r}, eps={eps!r})"

@@ -103,13 +103,13 @@ def test_enumerate_types_matches_reference():
 def test_enumerate_types_builds_only_what_it_lists(monkeypatch):
     # no prefix that fails a bound is built, so MAX_TYPES bounds the work too
     built = []
-    post_init = StabilityType.__post_init__
+    init = StabilityType.__init__
 
-    def counting(self):
+    def counting(self, *args, **kwargs):
         built.append(self)
-        post_init(self)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(StabilityType, "__post_init__", counting)
+    monkeypatch.setattr(StabilityType, "__init__", counting)
     for r, refined, listed in [(11, True, 25_139), (8, False, 24_457)]:
         built.clear()
         assert len(enumerate_types(r, refined).items) == listed
