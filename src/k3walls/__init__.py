@@ -37,10 +37,10 @@ from .stability import (
     central_charge,
     default_epsilon,
     epsilon_threshold,
-    lemma_key_scan,
     nowall_threshold,
     projection,
     slope,
+    two_value_violations,
     wall_on_axis,
 )
 from .strata import (

@@ -51,7 +51,8 @@ class RamificationSequence:
             raise DomainError(
                 f"expected {r + 1} entries, got {len(a)}", code="ill_formed_ramification"
             )
-        if any(x < 0 for x in a) or any(x > y for x, y in zip(a, a[1:])) or a[-1] > d - r:
+        # a non-decreasing sequence is nonnegative when its first entry is
+        if any(x > y for x, y in zip(a, a[1:])) or a[0] < 0 or a[-1] > d - r:
             raise DomainError(
                 f"entries must be non-decreasing in [0, {d - r}], got {a}",
                 code="ill_formed_ramification",
@@ -65,11 +66,15 @@ class RamificationSequence:
         return list(self.alphas)
 
 
+def _complement(r: int, d: int, alphas: tuple[int, ...]) -> RamificationSequence:
+    """beta_j = d - r - alpha_{r-j}, for entries already known to be valid."""
+    return RamificationSequence(tuple(d - r - x for x in reversed(alphas)))
+
+
 def complement(r: int, d: int, seq: RamificationSequence) -> RamificationSequence:
     """The complementary sequence beta_j = d - r - alpha_{r-j}; an involution."""
     seq.validate(r, d)
-    a = seq.alphas
-    return RamificationSequence(tuple(d - r - a[r - j] for j in range(r + 1)))
+    return _complement(r, d, seq.alphas)
 
 
 @value_class
@@ -146,9 +151,10 @@ def build_chain(g: int, k: int, r: int, d: int) -> ChainSeries:
         )
     components = []
     rho_elliptic = rho(1, r, d)
+    incoming = [RamificationSequence(_incoming(g, r, d, a)) for a in range(1, g + 2)]
     for a in range(1, g + 1):
-        alpha_in = RamificationSequence(_incoming(g, r, d, a))
-        alpha_out = complement(r, d, RamificationSequence(_incoming(g, r, d, a + 1)))
+        alpha_in = incoming[a - 1]
+        alpha_out = _complement(r, d, incoming[a].alphas)
         components.append(
             ChainComponent(
                 a=a,
@@ -193,6 +199,7 @@ def verify_chain(chain: ChainSeries) -> ChainReport:
     if [comp.a for comp in chain.components] != list(range(1, g + 1)):
         failures.append(f"components are not numbered 1..{g}")
     zero_range = (r + 1) * (g - d + r)
+    rho_elliptic = rho(1, r, d)
     for comp in chain.components:
         try:
             comp.alpha_in.validate(r, d)
@@ -200,7 +207,7 @@ def verify_chain(chain: ChainSeries) -> ChainReport:
         except DomainError as exc:
             failures.append(f"component {comp.a}: {exc}")
             continue
-        expected = rho(1, r, d) - comp.alpha_in.weight - comp.alpha_out.weight
+        expected = rho_elliptic - comp.alpha_in.weight - comp.alpha_out.weight
         if comp.adjusted_rho != expected:
             failures.append(
                 f"component {comp.a}: stored adjusted count {comp.adjusted_rho} != {expected}"

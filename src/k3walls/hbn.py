@@ -110,14 +110,13 @@ class SplittingType:
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
         if type(pairs) is not tuple or not all(
-            type(pair) is tuple and len(pair) == 2 and all(type(n) is int for n in pair)
+            type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int
             for pair in pairs
         ):
             raise DomainError("a splitting type is a tuple of integer pairs", code="ill_formed_splitting")
-        fs = [f for f, _ in pairs]
         if any(n <= 0 for _, n in pairs):
             raise DomainError("splitting multiplicities must be positive", code="ill_formed_splitting")
-        if any(a <= b for a, b in zip(fs, fs[1:])):
+        if any(f <= f_next for (f, _), (f_next, _) in zip(pairs, pairs[1:])):
             raise DomainError("splitting degrees must strictly decrease", code="ill_formed_splitting")
         set_attr(self, "pairs", pairs)
 

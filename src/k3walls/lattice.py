@@ -31,7 +31,11 @@ def check_special_shape(v: MukaiVector) -> None:
 
 @value_class
 class SurfaceParams:
-    """The pair (g, k) fixing the lattice: H^2 = 2g-2, E^2 = 0, H.E = k."""
+    """The pair (g, k) fixing the lattice: H^2 = 2g-2, E^2 = 0, H.E = k.
+
+    Construction also sets h_square = H^2, a plain attribute rather than a
+    field.
+    """
 
     def __init__(self, g: int, k: int):
         if g < 3:
@@ -39,10 +43,7 @@ class SurfaceParams:
         check_pencil_degree(k)
         set_attr(self, "g", g)
         set_attr(self, "k", k)
-
-    @property
-    def h_square(self) -> int:
-        return 2 * self.g - 2
+        set_attr(self, "h_square", 2 * g - 2)
 
 
 @value_class

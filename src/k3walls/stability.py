@@ -25,11 +25,16 @@ KIND_RANK_ZERO = "rank_zero"
 KIND_ORIGIN_RAY = "origin_ray"
 
 
+def _fraction(x) -> Fraction:
+    """x as a Fraction, built only when x is not one already."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _positive_eps(eps) -> Fraction:
     """eps as a Fraction; it must be a positive int (not a bool) or Fraction."""
     if not (type(eps) is int or isinstance(eps, Fraction)):
         raise DomainError(f"eps must be an int or a Fraction, got {eps!r}", code="bad_eps")
-    eps = Fraction(eps)
+    eps = _fraction(eps)
     if eps <= 0:
         raise DomainError(f"eps must be positive, got {eps}", code="bad_eps")
     return eps
@@ -46,20 +51,33 @@ class StabilityParams:
     - h_eps_square = (E + eps*H)^2 = 2*eps*k + eps^2*(2g-2);
     - h_dot_h_eps = H.H_eps = k + eps*(2g-2);
     - e_dot_h_eps = E.H_eps = eps*k.
+
+    With eps = a/b in lowest terms it also sets each of the three times
+    scale = b^2, as the integers h_eps_square_scaled, h_dot_h_eps_scaled and
+    e_dot_h_eps_scaled, which the kernels below compute with.
     """
 
     def __init__(self, surface: SurfaceParams, eps: Fraction):
         eps = _positive_eps(eps)
+        a, b = eps.numerator, eps.denominator
         g, k = surface.g, surface.k
         set_attr(self, "surface", surface)
         set_attr(self, "eps", eps)
-        set_attr(self, "h_eps_square", 2 * eps * k + eps * eps * (2 * g - 2))
-        set_attr(self, "h_dot_h_eps", k + eps * (2 * g - 2))
-        set_attr(self, "e_dot_h_eps", eps * k)
+        set_attr(self, "scale", b * b)
+        set_attr(self, "h_eps_square_scaled", 2 * a * b * k + a * a * (2 * g - 2))
+        set_attr(self, "h_dot_h_eps_scaled", b * (b * k + a * (2 * g - 2)))
+        set_attr(self, "e_dot_h_eps_scaled", a * b * k)
+        set_attr(self, "h_eps_square", Fraction(self.h_eps_square_scaled, self.scale))
+        set_attr(self, "h_dot_h_eps", Fraction(self.h_dot_h_eps_scaled, self.scale))
+        set_attr(self, "e_dot_h_eps", Fraction(self.e_dot_h_eps_scaled, self.scale))
+
+    def pic_dot_h_eps_scaled(self, x: int, y: int) -> int:
+        """scale * (x*H + y*E).H_eps, an integer."""
+        return x * self.h_dot_h_eps_scaled + y * self.e_dot_h_eps_scaled
 
     def pic_dot_h_eps(self, x: int, y: int) -> Fraction:
         """(x*H + y*E).H_eps."""
-        return x * self.h_dot_h_eps + y * self.e_dot_h_eps
+        return Fraction(self.pic_dot_h_eps_scaled(x, y), self.scale)
 
 
 @value_class
@@ -67,8 +85,8 @@ class StabilityPoint:
     """A point (b, w) of the stability plane; construction makes b and w Fractions."""
 
     def __init__(self, b: Fraction, w: Fraction):
-        set_attr(self, "b", Fraction(b))
-        set_attr(self, "w", Fraction(w))
+        set_attr(self, "b", _fraction(b))
+        set_attr(self, "w", _fraction(w))
 
 
 @value_class
@@ -93,20 +111,33 @@ class WallPoint:
         return d
 
 
+def _charge_numerators(sp: StabilityParams, pt: StabilityPoint, v: MukaiVector) -> tuple[int, int]:
+    """Integers (re_n, im_n) with Re Z = re_n/(wd*scale) and Im Z = im_n/(bd*scale).
+
+    Here w = wn/wd and b = bn/bd in lowest terms, so with H_eps^2 = A/scale,
+    Re = -ch2 + w*ch0*A/scale and Im = ch1.H_eps - b*ch0*A/scale.
+    """
+    a, w, b = sp.h_eps_square_scaled, pt.w, pt.b
+    re_n = w.numerator * v.r * a - (v.s - v.r) * w.denominator * sp.scale
+    im_n = sp.pic_dot_h_eps_scaled(v.x, v.y) * b.denominator - b.numerator * v.r * a
+    return re_n, im_n
+
+
 def central_charge(sp: StabilityParams, pt: StabilityPoint, v: MukaiVector) -> tuple[Fraction, Fraction]:
     """(Re Z, Im Z) at (b, w): Re = -ch2 + w*ch0*H_eps^2, Im = ch1.H_eps - b*ch0*H_eps^2."""
-    a = sp.h_eps_square
-    re = -v.ch2 + pt.w * v.r * a
-    im = sp.pic_dot_h_eps(v.x, v.y) - pt.b * v.r * a
-    return re, im
+    re_n, im_n = _charge_numerators(sp, pt, v)
+    return Fraction(re_n, pt.w.denominator * sp.scale), Fraction(im_n, pt.b.denominator * sp.scale)
 
 
 def slope(sp: StabilityParams, pt: StabilityPoint, v: MukaiVector) -> Slope:
-    """-Re/Im when Im is nonzero, +infinity when Im vanishes."""
-    re, im = central_charge(sp, pt, v)
-    if im == 0:
+    """-Re/Im when Im is nonzero, +infinity when Im vanishes.
+
+    From _charge_numerators, -Re/Im = -re_n*bd/(wd*im_n).
+    """
+    re_n, im_n = _charge_numerators(sp, pt, v)
+    if im_n == 0:
         return INFINITE_SLOPE
-    return -re / im
+    return Fraction(-re_n * pt.b.denominator, pt.w.denominator * im_n)
 
 
 def projection(sp: StabilityParams, v: MukaiVector) -> tuple[Fraction, Fraction]:
@@ -115,11 +146,6 @@ def projection(sp: StabilityParams, v: MukaiVector) -> tuple[Fraction, Fraction]
         raise DomainError("projection undefined for rank 0", code="rank_zero_projection")
     denom = sp.h_eps_square * v.r
     return sp.pic_dot_h_eps(v.x, v.y) / denom, Fraction(v.ch2) / denom
-
-
-def _axis_invariants(sp: StabilityParams, v: MukaiVector) -> tuple[int, Fraction, int]:
-    """Reduced invariants (ch0, ch1.H_eps, ch2) governing slopes on b = 0."""
-    return v.r, sp.pic_dot_h_eps(v.x, v.y), v.ch2
 
 
 def _proportional(t1, t2) -> bool:
@@ -143,21 +169,25 @@ def wall_on_axis(sp: StabilityParams, v1: MukaiVector, v2: MukaiVector) -> WallP
     Classes with vanishing imaginary part produce the degenerate wall at
     w = 0 of kind origin_ray.  Proportional reduced invariants, or a crossing
     below the ray, are errors.
+
+    On b = 0 a class has the reduced invariants (ch0, ch1.H_eps, ch2).  They
+    are taken with ch1.H_eps times scale, an integer; that scales the middle
+    entry of both triples alike, which keeps proportionality, and
+    w = scale*(im1*c2 - im2*c1) / (h_eps_square_scaled*(r2*im1 - r1*im2)).
     """
-    t1 = _axis_invariants(sp, v1)
-    t2 = _axis_invariants(sp, v2)
+    t1 = (v1.r, sp.pic_dot_h_eps_scaled(v1.x, v1.y), v1.s - v1.r)
+    t2 = (v2.r, sp.pic_dot_h_eps_scaled(v2.x, v2.y), v2.s - v2.r)
     if _proportional(t1, t2):
         raise DomainError("proportional classes have no wall", code="proportional_classes")
     r1, im1, c1 = t1
     r2, im2, c2 = t2
     if im1 == 0 or im2 == 0:
         return WallPoint(w=Fraction(0), destabilizer=v2, kind=KIND_ORIGIN_RAY)
-    numer = im1 * c2 - im2 * c1
-    denom = sp.h_eps_square * (r2 * im1 - r1 * im2)
+    denom = r2 * im1 - r1 * im2
     if denom == 0:
         # parallel slope functions that never meet (equal rank ratio, offset values)
         raise DomainError("no intersection on ray", code="no_intersection_on_ray")
-    w = numer / denom
+    w = Fraction(sp.scale * (im1 * c2 - im2 * c1), sp.h_eps_square_scaled * denom)
     if w < 0:
         raise DomainError("no intersection on ray", code="no_intersection_on_ray")
     kind, e = _wall_kind(v2)
@@ -189,43 +219,41 @@ def default_epsilon(params: SurfaceParams, v: MukaiVector) -> Fraction:
     return min(epsilon_threshold(params, m), nowall_threshold(params)) / 2
 
 
-def lemma_key_scan(
-    params: SurfaceParams, m: int, eps: Fraction, box: int = 12
-) -> list[tuple[int, int, int, int]]:
-    """Search for Chern characters violating the two-value constraint on t.
+def two_value_violations(params: SurfaceParams, m: int, eps: Fraction) -> list[tuple[int, int, int, int]]:
+    """Every class violating the two-value constraint on t, as (t, q, rs_min, rs_max).
 
-    Looks for (r, t*H + q*E, s) with |r|,|t|,|q|,|s| <= box, -rs <= m,
-    0 <= (tH+qE).H_eps <= H.H_eps and discriminant >= -2, whose H-coefficient
-    t lies outside {0, 1}.  The band is linear in q, so for each t only the
-    q of the band's interval, cut to [-box, box], are visited.  For eps below
-    eps_m no such class should exist; any hits are returned for inspection,
-    ordered by t, then q, r and s.
+    A Chern character (r, t*H + q*E, s) violates it when t is neither 0 nor
+    1, -rs <= m, its discriminant c1^2 - 2rs is at least -2, and
+    D = (tH+qE).H_eps lies in [0, H.H_eps].  The hits of one (t, q) are
+    those with rs_min <= rs <= rs_max, where rs_min = -m and
+    rs_max = c1^2/2 + 1 (c1^2 is even); a (t, q) is listed when that range
+    is not empty, that is when c1^2 >= -2m - 2.  Ordered by t, then q.
+
+    The list is finite and complete.  Solving D for q gives
+    c1^2 = -t^2(2g-2) - 2t^2*k/eps + 2t*D/eps.  For t >= 2, D <= H.H_eps
+    bounds it by -(2g-2)t(t-2) - 2k*t(t-1)/eps; for t <= -1, D >= 0 bounds
+    it by -2k*t^2/eps.  Either way a hit needs |t|(|t|-1) <= (m+1)*eps/k.
+    For each such t the band leaves a finite range of q.  Below
+    eps_m = k/(2g+m-1) the bound leaves |t| <= 1, and t = -1 gives
+    c1^2 < -2m - 2, so the list is empty there.
     """
     eps = _positive_eps(eps)
     g, k = params.g, params.k
-    # integer form of the band 0 <= (tH+qE).H_eps <= H.H_eps, scaled by denominator(eps):
-    # 0 <= base + a*k*q <= band_hi, increasing in q since a, k > 0
+    # integer form of the t bound and of the band, both scaled by b = denominator(eps):
+    # |t|(|t|-1)*k*b <= (m+1)*a, and 0 <= base + a*k*q <= band_hi, increasing in q
     a, b = eps.numerator, eps.denominator
     band_hi = b * k + a * (2 * g - 2)
     step = a * k
+    ts = [-1]
+    n = 2
+    while n * (n - 1) * k * b <= (m + 1) * a:
+        ts += [-n, n]
+        n += 1
     violations = []
-    for t in range(-box, box + 1):
-        if t in (0, 1):
-            continue
-        d_no_q = t * t * (2 * g - 2)
+    for t in sorted(ts):
         base = b * t * k + a * t * (2 * g - 2)
-        q_lo = max(-box, -(base // step))  # ceil(-base/step)
-        q_hi = min(box, (band_hi - base) // step)
-        for q in range(q_lo, q_hi + 1):
-            c1sq = d_no_q + 2 * t * q * k
-            # any hit needs rs in [-m, (c1^2+2)/2]; an empty interval rules the
-            # whole (r, s) square out, so only then is the inner loop skipped
-            hi2 = c1sq + 2  # 2*rs <= hi2
-            if hi2 < -2 * m:
-                continue
-            for r in range(-box, box + 1):
-                for s in range(-box, box + 1):
-                    rs = r * s
-                    if -rs <= m and c1sq - 2 * rs >= -2:
-                        violations.append((r, t, q, s))
+        for q in range(-(base // step), (band_hi - base) // step + 1):  # ceil(-base/step) up
+            rs_max = t * t * (g - 1) + t * q * k + 1  # c1^2/2 + 1
+            if rs_max >= -m:
+                violations.append((t, q, -m, rs_max))
     return violations

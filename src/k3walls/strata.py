@@ -165,9 +165,14 @@ def _dimension(params: SurfaceParams, v: MukaiVector, sum_m: int, sum_me: int) -
 
     The correction sum_j m_j*(x*e_j*k - r0 - s + 2*M_j - m_j) telescopes,
     since 2*M_j*m_j - m_j^2 = M_j^2 - M_{j-1}^2, to x*k*S - (r0 + s)*M + M^2.
+    Added to the residual square (see _residual_square) and 2, it leaves
+    x^2(2g-2) + 2xyk - 2*r0*s + 2 + M(r0 + s - M) - x*k*S.
     """
-    correction = v.x * params.k * sum_me - (v.r + v.s) * sum_m + sum_m * sum_m
-    return _residual_square(params, v, sum_m, sum_me) + 2 + correction
+    x = v.x
+    return (
+        x * x * params.h_square + 2 * x * v.y * params.k - 2 * v.r * v.s + 2
+        + sum_m * (v.r + v.s - sum_m) - x * params.k * sum_me
+    )
 
 
 def stratum_dimension(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> int:
@@ -177,7 +182,8 @@ def stratum_dimension(params: SurfaceParams, v: MukaiVector, t: StabilityType) -
     with u_i = (1, e_i*E, 1).  No positivity check: a negative value signals
     emptiness to the caller.  After the pairs up to j, with M = sum m_i and
     S = sum m_i*e_i, the running quotient is v - (M, 0, S, M), and its pairing
-    with u_j is x*e_j*k - r0 - s + 2M for v = (r0, x, y, s).
+    with u_j is x*e_j*k - r0 - s + 2M for v = (r0, x, y, s).  The sum comes
+    to _dimension of (M, S).
     """
     return _dimension(params, v, t.sum_m, t.sum_me)
 
@@ -276,9 +282,12 @@ def type_verdict(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> Ver
     check_special_shape(v)
     if not passes_square_filter(params, v, t):
         return Verdict.EMPTY_BY_NECESSITY
-    decided = v.r <= 0 and (v.ch2 < 0 or v.r == v.ch2 == 0)
-    balanced = t.p == 1 or (t.p == 2 and t.pairs[0][0] == t.pairs[1][0] + 1)
-    if decided and balanced and (t.sum_m < params.k if v.ch2 == 0 else t.sum_m <= params.k + v.r):
+    pairs, ch2 = t.pairs, v.s - v.r
+    balanced = len(pairs) == 1 or (len(pairs) == 2 and pairs[0][0] == pairs[1][0] + 1)
+    if balanced and v.r <= 0 and (
+        (ch2 < 0 and t.sum_m <= params.k + v.r)  # generic
+        or (ch2 == v.r == 0 and t.sum_m < params.k)  # genus minus one
+    ):
         return Verdict.NON_EMPTY
     return Verdict.UNKNOWN
 

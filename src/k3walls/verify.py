@@ -151,7 +151,7 @@ def check_stability_lemma_key(max_g, max_k):
         for m in range(5):
             eps_m = stability.epsilon_threshold(params, m)
             for frac in fractions:
-                hits = stability.lemma_key_scan(params, m, eps_m * frac, box=12)
+                hits = stability.two_value_violations(params, m, eps_m * frac)
                 if hits:
                     raise CheckFailed(
                         f"violations {hits[:3]} at {params}, m={m}, eps={eps_m * frac}"
@@ -165,11 +165,17 @@ def _vector_for(g, d):
     return lattice.MukaiVector(0, 1, 0, 1 + d - g)
 
 
+def _balanced_types(ranks):
+    """r -> [(ell, balanced_type(r, ell)) for 0 <= ell <= r], for r in ranks."""
+    return {r: [(ell, strata.balanced_type(r, ell)) for ell in range(r + 1)] for r in ranks}
+
+
 def check_strata_dimension_identity(max_g, max_k):
+    balanced = _balanced_types(range(7))
     for g, k, d, r in _grid(max_g, max_k, range(7), d_from=0):
         params, v = lattice.SurfaceParams(g, k), _vector_for(g, d)
-        for ell in range(max(0, r + 1 - k), r + 1):
-            got = strata.stratum_dimension(params, v, strata.balanced_type(r, ell))
+        for ell, t in balanced[r][max(0, r + 1 - k):]:
+            got = strata.stratum_dimension(params, v, t)
             want = g + hbn.rho(g, r - ell, d) - ell * k
             if got != want:
                 raise CheckFailed(f"{got} != {want} at (g,k,d,r,ell)=({g},{k},{d},{r},{ell})")
@@ -177,33 +183,34 @@ def check_strata_dimension_identity(max_g, max_k):
 
 
 def check_strata_dimension_bounds(max_g, max_k):
-    # a type's ell and whether it is saturated depend on r alone
-    types = [
-        [(t, strata.ell_value(t, r), t.weighted_sections() == r + 1) for t in strata.enumerate_types(r).items]
-        for r in range(5)
-    ]
+    # a type's ell and whether it is saturated depend on r alone, so each r's types are
+    # grouped once: r -> [(ell, its types with the saturated ones first, how many are)]
+    groups = []
+    for r in range(5):
+        by_ell: dict[int, tuple[list, list]] = {}
+        for t in strata.enumerate_types(r).items:
+            saturated, others = by_ell.setdefault(strata.ell_value(t, r), ([], []))
+            (saturated if t.weighted_sections() == r + 1 else others).append(t)
+        groups.append([(ell, sat + others, len(sat)) for ell, (sat, others) in sorted(by_ell.items())])
     for g, k, d, r in _grid(min(max_g, 9), min(max_k, 5), range(5)):
         params, v = lattice.SurfaceParams(g, k), _vector_for(g, d)
-        bounds = [g + hbn.rho(g, r - ell, d) - ell * k for ell in range(r + 1)]
-        least: dict[int, int] = {}
-        largest: dict[int, int] = {}
-        saturated: dict[int, int] = {}  # every saturated dim equals the bound
-        for t, ell, is_saturated in types[r]:
-            bound = bounds[ell]
-            dim = strata.stratum_dimension(params, v, t)
-            if dim > bound:
+        enumerated = []
+        for ell, types, n_saturated in groups[r]:
+            bound = g + hbn.rho(g, r - ell, d) - ell * k
+            dims = [strata.stratum_dimension(params, v, t) for t in types]
+            least, largest = min(dims), max(dims)
+            if largest > bound:
+                t = types[dims.index(largest)]
                 raise CheckFailed(
-                    f"dim {dim} > bound {bound} for {t.to_list()} at ({g},{k},{d},{r})"
+                    f"dim {largest} > bound {bound} for {t.to_list()} at ({g},{k},{d},{r})"
                 )
-            if is_saturated:
-                if dim != bound:
-                    raise CheckFailed(
-                        f"saturated type misses bound for {t.to_list()} at ({g},{k},{d},{r})"
-                    )
-                saturated[ell] = dim
-            least[ell] = min(dim, least.get(ell, dim))
-            largest[ell] = max(dim, largest.get(ell, dim))
-        enumerated = [(ell, least[ell], largest[ell], saturated.get(ell)) for ell in sorted(least)]
+            # every saturated dim equals the bound
+            if n_saturated and (missed := min(dims[:n_saturated])) != bound:
+                t = types[dims.index(missed)]
+                raise CheckFailed(
+                    f"saturated type misses bound for {t.to_list()} at ({g},{k},{d},{r})"
+                )
+            enumerated.append((ell, least, largest, bound if n_saturated else None))
         fast = [
             (ext.ell, ext.least, ext.largest, ext.saturated)
             for ext in strata.dimension_extremes(params, v, r)
@@ -216,19 +223,39 @@ def check_strata_dimension_bounds(max_g, max_k):
 
 
 def check_strata_nonexistence(max_g, max_k):
-    types = [strata.enumerate_types(r).items for r in range(4)]
+    # non-existence: negative rho_k excludes every type.  Existence: for nonnegative
+    # rho_k, the largest stratum_dimension - g over the balanced types of v whose
+    # verdict is NON_EMPTY is rho_k, reached at rho_k's maximizers.
+    balanced = _balanced_types(range(4))
+    first_of_ell = []  # r -> [(ell, its first enumerated type)], in enumeration order
+    enumerated_balanced = []  # r -> the balanced types that are enumerated, by ell
+    for r in range(4):
+        items = strata.enumerate_types(r).items
+        firsts: dict[int, strata.StabilityType] = {}
+        for t in items:
+            firsts.setdefault(strata.ell_value(t, r), t)
+        first_of_ell.append(list(firsts.items()))
+        enumerated_balanced.append([t for _, t in balanced[r] if t in items])
     for g, k, d, r in _grid(min(max_g, 8), min(max_k, 5), range(4)):
-        if hbn.rho_k(g, k, r, d)[0] >= 0:
+        value, argmax = hbn.rho_k(g, k, r, d)
+        params, v = lattice.SurfaceParams(g, k), _vector_for(g, d)
+        if value >= 0:
+            reached = {
+                ell: strata.stratum_dimension(params, v, t) - g
+                for ell, t in balanced[r]
+                if strata.type_verdict(params, v, t) is strata.Verdict.NON_EMPTY
+            }
+            best = max(reached.values(), default=None)
+            if best != value or [ell for ell, dim in reached.items() if dim == best] != argmax:
+                raise CheckFailed(
+                    f"non-empty balanced types reach {best}, not rho_k {value}, at ({g},{k},{d},{r})"
+                )
             continue
-        for t in types[r]:
-            ell = strata.ell_value(t, r)
+        for ell, t in first_of_ell[r]:
             if hbn.rho(g, r - ell, d) - ell * k >= 0:
                 raise CheckFailed(f"type {t.to_list()} has nonneg count at ({g},{k},{d},{r})")
-        params, v = lattice.SurfaceParams(g, k), _vector_for(g, d)
-        for ell in range(0, r + 1):
-            t = strata.balanced_type(r, ell)
-            verdict = strata.type_verdict(params, v, t)
-            if t in types[r] and verdict is not strata.Verdict.EMPTY_BY_NECESSITY:
+        for t in enumerated_balanced[r]:
+            if strata.type_verdict(params, v, t) is not strata.Verdict.EMPTY_BY_NECESSITY:
                 raise CheckFailed(
                     f"enumerated balanced type {t.to_list()} not excluded at ({g},{k},{d},{r})"
                 )
@@ -289,13 +316,18 @@ def check_hbn_ell_round_trip(max_g, max_k):
     return "ell decomposition round-trips"
 
 
+def _decompositions(ranks):
+    """r -> [(ell, ell_decompose(r, ell)) for 0 <= ell <= r], for r in ranks."""
+    return {r: [(ell, hbn.ell_decompose(r, ell)) for ell in range(r + 1)] for r in ranks}
+
+
 def check_hbn_degeneracy_identity(max_g, max_k):
+    decompositions = _decompositions(range(7))
     for g, k, d, r in _grid(max_g, max_k, range(7), d_from=0):
-        for ell in range(max(0, r + 2 - k), r + 1):
+        for ell, dec in decompositions[r][max(0, r + 2 - k):]:
             hbn.degeneracy_dims(g, k, d, r, ell)  # raises when its dimension is off
             count = hbn.rho(g, r - ell, d) - ell * k
             # the reduction to rank m1 - 1 and degree d - (e+1)k
-            dec = hbn.ell_decompose(r, ell)
             e, m1 = dec.e, dec.m1
             lhs = hbn.rho(g, m1 - 1, d - (e + 1) * k)
             correction = (r - ell - m1 + 1) * (g + e * k - d + r - ell + m1)
@@ -305,20 +337,26 @@ def check_hbn_degeneracy_identity(max_g, max_k):
 
 
 def check_hbn_splitting_correspondence(max_g, max_k):
+    # the balanced data of (r, ell) read back off its fragment, and the degree and
+    # pairs a splitting type adds to it: r -> [(ell, (e, m1, m2), degree, pairs)]
+    balanced = {}
+    for r, decs in _decompositions(range(6)).items():
+        balanced[r] = []
+        for ell, dec in decs:
+            data = (dec.e, dec.m1, dec.m2)
+            if hbn.balanced_correspondence([dec.e + 1] * dec.m1 + [dec.e] * dec.m2) != data:
+                raise CheckFailed(f"mismatch at (r,ell)=({r},{ell})")
+            degree = dec.m1 * (dec.e + 1) + dec.m2 * dec.e
+            balanced[r].append((ell, data, degree, strata.balanced_type(r, ell).pairs))
     for g, k, d, r in _grid(min(max_g, 10), min(max_k, 6), range(6)):
-        for ell in range(max(0, r + 2 - k), r + 1):
-            dec = hbn.ell_decompose(r, ell)
-            frag = [dec.e + 1] * dec.m1 + [dec.e] * dec.m2
-            if hbn.balanced_correspondence(frag) != (dec.e, dec.m1, dec.m2):
-                raise CheckFailed(f"mismatch at ({g},{k},{d},{r},{ell})")
+        for ell, data, degree, pairs in balanced[r][max(0, r + 2 - k):]:
             # full splitting round trip when the negative rest fits one slot
-            n_rest = k - dec.m1 - dec.m2
-            deg_rest = (d + 1 - g - k) - (dec.m1 * (dec.e + 1) + dec.m2 * dec.e)
+            n_rest = k - data[1] - data[2]
+            deg_rest = (d + 1 - g - k) - degree
             if n_rest >= 1 and deg_rest < 0 and deg_rest % n_rest == 0:
-                balanced = strata.balanced_type(r, ell).pairs
-                st = hbn.SplittingType(balanced + ((deg_rest // n_rest, n_rest),))
+                st = hbn.SplittingType(pairs + ((deg_rest // n_rest, n_rest),))
                 nonneg = hbn.splitting_nonneg_part(g, k, d, st)
-                if hbn.balanced_correspondence(nonneg.values()) != (dec.e, dec.m1, dec.m2):
+                if hbn.balanced_correspondence(nonneg.values()) != data:
                     raise CheckFailed(f"round trip off at ({g},{k},{d},{r},{ell})")
     return "balanced data matches splitting side"
 

@@ -96,7 +96,9 @@ def test_criterion_3_degeneracy_identities():
 @criterion(4, "non-existence consistency")
 def test_criterion_4_nonexistence_consistency():
     # g <= 8, k <= 5, 1 <= d < g, r <= 3: wherever rho_k < 0, every type has a
-    # negative count and every enumerated balanced type is empty by necessity
+    # negative count and every enumerated balanced type is empty by necessity;
+    # wherever rho_k >= 0, the non-empty balanced types reach dimension g + rho_k,
+    # at exactly rho_k's maximizing ells
     verify.check_strata_nonexistence(8, 5)
 
 
@@ -143,7 +145,8 @@ def test_criterion_5_wall_arithmetic():
 @criterion(6, "two-value scan finds no counterexample")
 def test_criterion_6_lemma_scan():
     start = time.monotonic()
-    # g <= 8, k <= 5, m <= 4, eps at 1/2, 3/4 and 9/10 of the threshold, box 12
+    # g <= 8, k <= 5, m <= 4, eps at 1/2, 3/4 and 9/10 of the threshold: no
+    # Chern character violates the two-value constraint
     verify.check_stability_lemma_key(8, 5)
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"scan took {elapsed:.1f}s"

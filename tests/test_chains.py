@@ -25,6 +25,15 @@ def test_complement_examples():
     assert info.value.code == "bad_rank"
 
 
+@pytest.mark.parametrize("alphas", [(-1, 0), (-2, -1), (0, 3), (1, 0), (0,), (0, 0, 0)])
+def test_validate_rejects_each_bad_sequence(alphas):
+    # r = 1, d = 3: two non-decreasing entries in [0, 2]
+    with pytest.raises(DomainError) as info:
+        seq(*alphas).validate(1, 3)
+    assert info.value.code == "ill_formed_ramification"
+    seq(0, 2).validate(1, 3)
+
+
 def test_build_chain_boundary_value():
     # incoming data of the component closing the zero range
     for (g, k, r, d) in [(5, 4, 1, 4), (7, 4, 1, 5), (13, 5, 2, 11)]:

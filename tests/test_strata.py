@@ -19,12 +19,12 @@ from k3walls import (
     dimension_extremes,
     ell_value,
     enumerate_types,
-    lemma_key_scan,
     line_bundle_vector,
     mukai_pairing,
     passes_square_filter,
     square,
     stratum_dimension,
+    two_value_violations,
     type_verdict,
     wall_sequence,
 )
@@ -129,8 +129,8 @@ def stability_params_eps(eps):
     return StabilityParams(P52, eps)
 
 
-def lemma_key_scan_eps(eps):
-    return lemma_key_scan(P52, 0, eps)
+def two_value_violations_eps(eps):
+    return two_value_violations(P52, 0, eps)
 
 
 @pytest.mark.parametrize(
@@ -157,7 +157,7 @@ def lemma_key_scan_eps(eps):
         (stability_params_eps, 0.1, "bad_eps"),
         (stability_params_eps, True, "bad_eps"),
         (stability_params_eps, "1/10", "bad_eps"),
-        (lemma_key_scan_eps, 0.1, "bad_eps"),
+        (two_value_violations_eps, 0.1, "bad_eps"),
     ],
     ids=lambda x: getattr(x, "__name__", str(x)),
 )

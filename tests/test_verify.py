@@ -214,8 +214,14 @@ def test_kernel_work_of_a_full_run(monkeypatch):
     kernels = {
         "hbn.rho_k": (hbn, "rho_k", 2_844),
         "chains.build_chain": (chains, "build_chain", 318),
-        "strata.stratum_dimension": (strata, "stratum_dimension", 21_042),
+        # dimension_bounds' 21,042, and 211 for the existence half of nonexistence
+        "strata.stratum_dimension": (strata, "stratum_dimension", 21_253),
         "strata.enumerate_types": (strata, "enumerate_types", 13),
+        # the checks build their (r, ell) tables once: balanced types 28 + 10 + 21, and
+        # decompositions 28 + 21 beside ell_round_trip's 861, degeneracy_dims' 1,980
+        # and one per balanced type
+        "strata.balanced_type": (strata, "balanced_type", 59),
+        "hbn.ell_decompose": (hbn, "ell_decompose", 2_949),
         # the strata verdicts read integers; the pairings left are the lattice
         # checks' own and the 5,184 residual squares square_filter compares with
         "lattice.mukai_pairing": (lattice, "mukai_pairing", 10_392),
