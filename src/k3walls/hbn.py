@@ -130,9 +130,6 @@ class SplittingType:
     def degree(self) -> int:
         return sum(f * n for f, n in self.pairs)
 
-    def to_list(self) -> list[list[int]]:
-        return [[f, n] for f, n in self.pairs]
-
 
 def splitting_nonneg_part(g: int, k: int, d: int, st: SplittingType) -> SplittingType:
     """Validate a splitting type against (g, k, d) and return its f >= 0 part."""

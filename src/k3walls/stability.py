@@ -30,35 +30,25 @@ def _fraction(x) -> Fraction:
     return x if type(x) is Fraction else Fraction(x)
 
 
-def _positive_eps(eps) -> Fraction:
-    """eps as a Fraction; it must be a positive int (not a bool) or Fraction."""
-    if not (type(eps) is int or isinstance(eps, Fraction)):
-        raise DomainError(f"eps must be an int or a Fraction, got {eps!r}", code="bad_eps")
-    eps = _fraction(eps)
-    if eps <= 0:
-        raise DomainError(f"eps must be positive, got {eps}", code="bad_eps")
-    return eps
-
-
 @value_class
 class StabilityParams:
-    """Surface data together with the slice parameter eps > 0.
+    """Surface data together with the slice parameter eps > 0, an int (not a bool) or Fraction.
 
-    With H_eps = E + eps*H, construction also sets three plain attributes,
-    which are not fields (equality, hashing and repr see surface and eps
-    alone):
+    With H_eps = E + eps*H and eps = a/b in lowest terms, construction also
+    sets four plain integer attributes, which are not fields (equality,
+    hashing and repr see surface and eps alone): scale = b^2, and scale times
 
-    - h_eps_square = (E + eps*H)^2 = 2*eps*k + eps^2*(2g-2);
-    - h_dot_h_eps = H.H_eps = k + eps*(2g-2);
-    - e_dot_h_eps = E.H_eps = eps*k.
-
-    With eps = a/b in lowest terms it also sets each of the three times
-    scale = b^2, as the integers h_eps_square_scaled, h_dot_h_eps_scaled and
-    e_dot_h_eps_scaled, which the kernels below compute with.
+    - h_eps_square_scaled: (E + eps*H)^2 = 2*eps*k + eps^2*(2g-2);
+    - h_dot_h_eps_scaled: H.H_eps = k + eps*(2g-2);
+    - e_dot_h_eps_scaled: E.H_eps = eps*k.
     """
 
     def __init__(self, surface: SurfaceParams, eps: Fraction):
-        eps = _positive_eps(eps)
+        if not (type(eps) is int or isinstance(eps, Fraction)):
+            raise DomainError(f"eps must be an int or a Fraction, got {eps!r}", code="bad_eps")
+        eps = _fraction(eps)
+        if eps <= 0:
+            raise DomainError(f"eps must be positive, got {eps}", code="bad_eps")
         a, b = eps.numerator, eps.denominator
         g, k = surface.g, surface.k
         set_attr(self, "surface", surface)
@@ -67,9 +57,6 @@ class StabilityParams:
         set_attr(self, "h_eps_square_scaled", 2 * a * b * k + a * a * (2 * g - 2))
         set_attr(self, "h_dot_h_eps_scaled", b * (b * k + a * (2 * g - 2)))
         set_attr(self, "e_dot_h_eps_scaled", a * b * k)
-        set_attr(self, "h_eps_square", Fraction(self.h_eps_square_scaled, self.scale))
-        set_attr(self, "h_dot_h_eps", Fraction(self.h_dot_h_eps_scaled, self.scale))
-        set_attr(self, "e_dot_h_eps", Fraction(self.e_dot_h_eps_scaled, self.scale))
 
     def pic_dot_h_eps_scaled(self, x: int, y: int) -> int:
         """scale * (x*H + y*E).H_eps, an integer."""
@@ -144,8 +131,8 @@ def projection(sp: StabilityParams, v: MukaiVector) -> tuple[Fraction, Fraction]
     """Projection (H_eps.ch1/(H_eps^2*ch0), ch2/(H_eps^2*ch0)) of a ranked class."""
     if v.r == 0:
         raise DomainError("projection undefined for rank 0", code="rank_zero_projection")
-    denom = sp.h_eps_square * v.r
-    return sp.pic_dot_h_eps(v.x, v.y) / denom, Fraction(v.ch2) / denom
+    denom = sp.h_eps_square_scaled * v.r
+    return Fraction(sp.pic_dot_h_eps_scaled(v.x, v.y), denom), Fraction(v.ch2 * sp.scale, denom)
 
 
 def _proportional(t1, t2) -> bool:
@@ -219,7 +206,7 @@ def default_epsilon(params: SurfaceParams, v: MukaiVector) -> Fraction:
     return min(epsilon_threshold(params, m), nowall_threshold(params)) / 2
 
 
-def two_value_violations(params: SurfaceParams, m: int, eps: Fraction) -> list[tuple[int, int, int, int]]:
+def two_value_violations(sp: StabilityParams, m: int) -> list[tuple[int, int, int, int]]:
     """Every class violating the two-value constraint on t, as (t, q, rs_min, rs_max).
 
     A Chern character (r, t*H + q*E, s) violates it when t is neither 0 nor
@@ -237,13 +224,11 @@ def two_value_violations(params: SurfaceParams, m: int, eps: Fraction) -> list[t
     eps_m = k/(2g+m-1) the bound leaves |t| <= 1, and t = -1 gives
     c1^2 < -2m - 2, so the list is empty there.
     """
-    eps = _positive_eps(eps)
-    g, k = params.g, params.k
-    # integer form of the t bound and of the band, both scaled by b = denominator(eps):
-    # |t|(|t|-1)*k*b <= (m+1)*a, and 0 <= base + a*k*q <= band_hi, increasing in q
-    a, b = eps.numerator, eps.denominator
-    band_hi = b * k + a * (2 * g - 2)
-    step = a * k
+    g, k = sp.surface.g, sp.surface.k
+    # integer form of the t bound, with eps = a/b: |t|(|t|-1)*k*b <= (m+1)*a; and of
+    # the band, scaled by sp.scale: 0 <= base + step*q <= band_hi, increasing in q
+    a, b = sp.eps.numerator, sp.eps.denominator
+    band_hi, step = sp.h_dot_h_eps_scaled, sp.e_dot_h_eps_scaled
     ts = [-1]
     n = 2
     while n * (n - 1) * k * b <= (m + 1) * a:
@@ -251,7 +236,7 @@ def two_value_violations(params: SurfaceParams, m: int, eps: Fraction) -> list[t
         n += 1
     violations = []
     for t in sorted(ts):
-        base = b * t * k + a * t * (2 * g - 2)
+        base = sp.pic_dot_h_eps_scaled(t, 0)
         for q in range(-(base // step), (band_hi - base) // step + 1):  # ceil(-base/step) up
             rs_max = t * t * (g - 1) + t * q * k + 1  # c1^2/2 + 1
             if rs_max >= -m:

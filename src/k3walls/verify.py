@@ -151,11 +151,9 @@ def check_stability_lemma_key(max_g, max_k):
         for m in range(5):
             eps_m = stability.epsilon_threshold(params, m)
             for frac in fractions:
-                hits = stability.two_value_violations(params, m, eps_m * frac)
-                if hits:
-                    raise CheckFailed(
-                        f"violations {hits[:3]} at {params}, m={m}, eps={eps_m * frac}"
-                    )
+                sp = stability.StabilityParams(params, eps_m * frac)
+                if hits := stability.two_value_violations(sp, m):
+                    raise CheckFailed(f"violations {hits[:3]} at {params}, m={m}, eps={sp.eps}")
     return "no two-value violations in the scan box"
 
 
@@ -223,19 +221,12 @@ def check_strata_dimension_bounds(max_g, max_k):
 
 
 def check_strata_nonexistence(max_g, max_k):
-    # non-existence: negative rho_k excludes every type.  Existence: for nonnegative
-    # rho_k, the largest stratum_dimension - g over the balanced types of v whose
-    # verdict is NON_EMPTY is rho_k, reached at rho_k's maximizers.
+    # non-existence: negative rho_k excludes every type.  A type's count
+    # rho(g, r-ell, d) - ell*k depends on its ell alone, and balanced_type(r, ell) is a
+    # type for each ell in 0..r, so the balanced types stand for every type.  Existence:
+    # for nonnegative rho_k, the largest stratum_dimension - g over the balanced types
+    # of v whose verdict is NON_EMPTY is rho_k, reached at rho_k's maximizers.
     balanced = _balanced_types(range(4))
-    first_of_ell = []  # r -> [(ell, its first enumerated type)], in enumeration order
-    enumerated_balanced = []  # r -> the balanced types that are enumerated, by ell
-    for r in range(4):
-        items = strata.enumerate_types(r).items
-        firsts: dict[int, strata.StabilityType] = {}
-        for t in items:
-            firsts.setdefault(strata.ell_value(t, r), t)
-        first_of_ell.append(list(firsts.items()))
-        enumerated_balanced.append([t for _, t in balanced[r] if t in items])
     for g, k, d, r in _grid(min(max_g, 8), min(max_k, 5), range(4)):
         value, argmax = hbn.rho_k(g, k, r, d)
         params, v = lattice.SurfaceParams(g, k), _vector_for(g, d)
@@ -251,13 +242,12 @@ def check_strata_nonexistence(max_g, max_k):
                     f"non-empty balanced types reach {best}, not rho_k {value}, at ({g},{k},{d},{r})"
                 )
             continue
-        for ell, t in first_of_ell[r]:
+        for ell, t in balanced[r]:
             if hbn.rho(g, r - ell, d) - ell * k >= 0:
                 raise CheckFailed(f"type {t.to_list()} has nonneg count at ({g},{k},{d},{r})")
-        for t in enumerated_balanced[r]:
             if strata.type_verdict(params, v, t) is not strata.Verdict.EMPTY_BY_NECESSITY:
                 raise CheckFailed(
-                    f"enumerated balanced type {t.to_list()} not excluded at ({g},{k},{d},{r})"
+                    f"balanced type {t.to_list()} not excluded at ({g},{k},{d},{r})"
                 )
     return "negative rho_k excludes every type"
 
@@ -337,8 +327,9 @@ def check_hbn_degeneracy_identity(max_g, max_k):
 
 
 def check_hbn_splitting_correspondence(max_g, max_k):
-    # the balanced data of (r, ell) read back off its fragment, and the degree and
-    # pairs a splitting type adds to it: r -> [(ell, (e, m1, m2), degree, pairs)]
+    # the balanced data of (r, ell) read back off its fragment, and the pairs a
+    # splitting type adds to it: r -> [(ell, (e, m1, m2), pairs)]; the pairs have
+    # degree m1*(e+1) + m2*e = ell, as ell = e(r+1-ell) + m1 (see ell_round_trip)
     balanced = {}
     for r, decs in _decompositions(range(6)).items():
         balanced[r] = []
@@ -346,13 +337,12 @@ def check_hbn_splitting_correspondence(max_g, max_k):
             data = (dec.e, dec.m1, dec.m2)
             if hbn.balanced_correspondence([dec.e + 1] * dec.m1 + [dec.e] * dec.m2) != data:
                 raise CheckFailed(f"mismatch at (r,ell)=({r},{ell})")
-            degree = dec.m1 * (dec.e + 1) + dec.m2 * dec.e
-            balanced[r].append((ell, data, degree, strata.balanced_type(r, ell).pairs))
+            balanced[r].append((ell, data, strata.balanced_type(r, ell).pairs))
     for g, k, d, r in _grid(min(max_g, 10), min(max_k, 6), range(6)):
-        for ell, data, degree, pairs in balanced[r][max(0, r + 2 - k):]:
+        for ell, data, pairs in balanced[r][max(0, r + 2 - k):]:
             # full splitting round trip when the negative rest fits one slot
             n_rest = k - data[1] - data[2]
-            deg_rest = (d + 1 - g - k) - degree
+            deg_rest = (d + 1 - g - k) - ell
             if n_rest >= 1 and deg_rest < 0 and deg_rest % n_rest == 0:
                 st = hbn.SplittingType(pairs + ((deg_rest // n_rest, n_rest),))
                 nonneg = hbn.splitting_nonneg_part(g, k, d, st)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3walls import strata, verify
+from k3walls import strata, tableaux, verify
 from k3walls.cli import main
 
 
@@ -80,6 +80,15 @@ def test_tableaux_example(capsys):
     result = payload(out)["result"]
     assert result["feasible"] is False
     assert result["rho_k"] == -1
+
+
+def test_tableaux_oracle_violation(capsys, monkeypatch):
+    # the search finds 1 omitted label; a formula saying 0 is a verification failure
+    monkeypatch.setattr(tableaux, "rho_k", lambda g, k, r, d: (0, [0]))
+    code, out, err = run_cli(capsys, "tableaux", "--g", "5", "--k", "2", "--r", "1", "--d", "3")
+    assert code == 2
+    assert payload(out)["error"]["code"] == "oracle_violation"
+    assert err.startswith("error: omitted 1 exceeds rho_k 0")
 
 
 def test_decompose_plain(capsys):
@@ -521,11 +530,17 @@ def test_json_output_is_sorted_and_stable(capsys):
 
 
 @pytest.mark.parametrize(
-    "viewport",
-    ["-1,1,0,1e-400", "1,1,0,1", "0,1,x,1", "0,1,0"],
-    ids=["overflow", "degenerate", "unparsable", "three_entries"],
+    "viewport, message",
+    [
+        ("-1,1,0,1e-400", "more than 996 bits"),
+        ("1,1,0,1", "degenerate viewport"),
+        ("0,1,x,1", "Invalid literal"),
+        ("0,1,0", "expected bmin,bmax,wmin,wmax"),
+        ("-1e299,1e299,0,1", "a coordinate overflows this viewport"),
+    ],
+    ids=["overflow", "degenerate", "unparsable", "three_entries", "coordinate_overflow"],
 )
-def test_plot_walls_bad_viewport(capsys, tmp_path, viewport):
+def test_plot_walls_bad_viewport(capsys, tmp_path, viewport, message):
     # a coordinate beyond the float range is the viewport's fault, not a crash
     out_file = tmp_path / "x.svg"
     code, out, _ = run_cli(
@@ -533,7 +548,8 @@ def test_plot_walls_bad_viewport(capsys, tmp_path, viewport):
         f"--viewport={viewport}", "--out", str(out_file),
     )
     assert code == 1
-    assert payload(out)["error"]["code"] == "bad_viewport"
+    error = payload(out)["error"]
+    assert error["code"] == "bad_viewport" and message in error["message"]
     assert not out_file.exists()
 
 

@@ -91,6 +91,9 @@ def test_splitting_nonneg_part():
         splitting_nonneg_part(5, 3, 3, SplittingType(((1, 1), (-4, 1))))
     with pytest.raises(DomainError, match="no negative summand"):
         splitting_nonneg_part(9, 2, 8, SplittingType(((0, 2),)))
+    with pytest.raises(DomainError) as info:
+        splitting_nonneg_part(5, 2, 5, SplittingType(((1, 1), (-4, 1))))  # d > g-1
+    assert info.value.code == "degree_out_of_range"
 
 
 def test_splitting_type_validation():

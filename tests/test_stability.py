@@ -47,17 +47,20 @@ def test_params_validation():
 
 
 def test_derived_quantities():
-    assert SP.h_eps_square == Fraction(11, 25)
-    assert SP.h_dot_h_eps == Fraction(12, 5)
-    assert SP.e_dot_h_eps == Fraction(1, 5)
+    # H_eps^2 = 11/25, H.H_eps = 12/5 and E.H_eps = 1/5, each times scale = 10^2
+    assert SP.scale == 100
+    assert (SP.h_eps_square_scaled, SP.h_dot_h_eps_scaled, SP.e_dot_h_eps_scaled) == (44, 240, 20)
 
 
 @given(st.integers(3, 40), st.integers(2, 12), st.fractions(min_value=0, max_value=50).filter(bool))
 def test_derived_quantities_match_formulas(g, k, eps):
     sp = StabilityParams(SurfaceParams(g, k), eps)
-    assert sp.h_eps_square == 2 * eps * k + eps * eps * (2 * g - 2)
-    assert sp.h_dot_h_eps == k + eps * (2 * g - 2)
-    assert sp.e_dot_h_eps == eps * k
+    assert sp.scale == eps.denominator**2
+    scaled = (sp.h_eps_square_scaled, sp.h_dot_h_eps_scaled, sp.e_dot_h_eps_scaled)
+    assert all(type(n) is int for n in scaled)
+    assert scaled == tuple(
+        sp.scale * x for x in (2 * eps * k + eps * eps * (2 * g - 2), k + eps * (2 * g - 2), eps * k)
+    )
     # they are attributes, not fields: equality, hashing and repr see surface and eps alone
     assert StabilityParams.__match_args__ == ("surface", "eps")
     twin = StabilityParams(SurfaceParams(g, k), Fraction(eps))
@@ -247,11 +250,11 @@ def test_lemma_key_scan_sees_violations_above_threshold():
     assert hits, "expected the scan to find classes at a huge eps"
     assert all(t not in (0, 1) for _, t, _, _ in hits)
     # the exact list has them too, t = 2 among them, and the scan sees each one
-    listed = two_value_violations(P32, 4, Fraction(3))
+    listed = two_value_violations(StabilityParams(P32, Fraction(3)), 4)
     assert {t for t, *_ in listed} == {-1, 2}
     assert _boxed(listed, 6) == hits
     # below eps_m nothing is listed, for every Chern character
-    assert two_value_violations(P32, 4, epsilon_threshold(P32, 4) * Fraction(9, 10)) == []
+    assert two_value_violations(StabilityParams(P32, epsilon_threshold(P32, 4) * Fraction(9, 10)), 4) == []
 
 
 def lemma_key_scan_all_q(params, m, eps, box):
@@ -312,7 +315,7 @@ def test_two_value_violations_match_the_box_scan():
             for m in range(5):
                 eps_m = epsilon_threshold(params, m)
                 for eps in (eps_m / 2, eps_m, 2 * eps_m, 5 * eps_m, *far_above):
-                    listed = two_value_violations(params, m, eps)
+                    listed = two_value_violations(StabilityParams(params, eps), m)
                     assert _boxed(listed, box) == lemma_key_scan(params, m, eps, box), (g, k, m, eps)
                     assert all(t not in (0, 1) and rs_min == -m <= rs_max for t, _, rs_min, rs_max in listed)
                     if eps < eps_m:

@@ -24,7 +24,6 @@ from k3walls import (
     passes_square_filter,
     square,
     stratum_dimension,
-    two_value_violations,
     type_verdict,
     wall_sequence,
 )
@@ -129,10 +128,6 @@ def stability_params_eps(eps):
     return StabilityParams(P52, eps)
 
 
-def two_value_violations_eps(eps):
-    return two_value_violations(P52, 0, eps)
-
-
 @pytest.mark.parametrize(
     "build, value, code",
     [
@@ -157,7 +152,6 @@ def two_value_violations_eps(eps):
         (stability_params_eps, 0.1, "bad_eps"),
         (stability_params_eps, True, "bad_eps"),
         (stability_params_eps, "1/10", "bad_eps"),
-        (two_value_violations_eps, 0.1, "bad_eps"),
     ],
     ids=lambda x: getattr(x, "__name__", str(x)),
 )
@@ -200,8 +194,8 @@ def test_enumerate_types_canonical_order():
 
 
 def test_strata_checks_enumerate_once_per_r(monkeypatch):
-    # the type table depends on r alone: 5 + 4 + 4 tables for the three checks
-    # that enumerate, however many (g, k, d) they visit
+    # the type table depends on r alone: 5 + 4 tables for the two checks that
+    # enumerate, however many (g, k, d) they visit
     calls = []
 
     def spy(*args, **kwargs):
@@ -211,7 +205,7 @@ def test_strata_checks_enumerate_once_per_r(monkeypatch):
     monkeypatch.setattr(strata, "enumerate_types", spy)
     results = verify.run_checks("strata", 8, 5)
     assert all(res.ok for res in results), results
-    assert 0 < len(calls) <= 13
+    assert 0 < len(calls) <= 9
 
 
 def test_stratum_dimension_examples():
@@ -353,6 +347,17 @@ def test_type_sums_match_enumeration(refined):
 )
 def test_type_verdict_cases(params, v, t, expected):
     assert type_verdict(params, v, t) is expected
+
+
+@pytest.mark.parametrize("refined", [False, True], ids=["plain", "refined"])
+def test_balanced_types_are_enumerated(type_table, refined):
+    # verify's nonexistence check lets balanced_type(r, ell) stand for every type of
+    # its ell, which needs it to be a valid type, of that ell, for each ell in 0..r
+    for r in range(9):
+        items = enumerate_types(r, refined=True).items if refined else type_table[r]
+        for ell in range(r + 1):
+            t = balanced_type(r, ell)
+            assert t in items and ell_value(t, r) == ell, (r, ell, refined)
 
 
 def test_balanced_type_examples():

@@ -1,6 +1,14 @@
 import pytest
 
-from k3walls import DomainError, SearchBudgetExceeded, Tableau, is_valid, max_omitted, oracle_check
+from k3walls import (
+    DomainError,
+    OracleViolation,
+    SearchBudgetExceeded,
+    Tableau,
+    is_valid,
+    max_omitted,
+    oracle_check,
+)
 from k3walls import tableaux
 from k3walls.tableaux import max_omitted_naive
 
@@ -86,6 +94,19 @@ def test_oracle_check_examples():
 
     rep = oracle_check(4, 3, 1, 3)
     assert rep.equality and rep.rho_k == 0 and rep.omitted == 0
+
+
+@pytest.mark.parametrize(
+    "inst, message",
+    [((5, 2, 1, 3), "omitted 1 exceeds rho_k 0"), ((2, 2, 1, 1), "no valid tableau but rho_k 0 >= 0")],
+    ids=["feasible", "infeasible"],
+)
+def test_oracle_check_violations(monkeypatch, inst, message):
+    # a formula that disagrees with the search: too small for a feasible search,
+    # nonnegative for an infeasible one
+    monkeypatch.setattr(tableaux, "rho_k", lambda g, k, r, d: (0, [0]))
+    with pytest.raises(OracleViolation, match=message):
+        oracle_check(*inst)
 
 
 def test_oracle_check_witness_valid():

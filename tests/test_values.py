@@ -115,6 +115,6 @@ def test_derived_attributes_are_not_fields():
     assert (t.sum_m, t.sum_me) == (3, 2)
     assert StabilityType.__match_args__ == ("pairs",)
     sp = StabilityParams(SurfaceParams(5, 2), 1)
-    assert (sp.h_eps_square, sp.h_dot_h_eps, sp.e_dot_h_eps) == (12, 10, 2)
+    assert (sp.scale, sp.h_eps_square_scaled, sp.h_dot_h_eps_scaled, sp.e_dot_h_eps_scaled) == (1, 12, 10, 2)
     assert StabilityParams.__match_args__ == ("surface", "eps")
     assert hash(sp) == hash((SurfaceParams(5, 2), Fraction(1)))

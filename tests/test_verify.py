@@ -216,7 +216,7 @@ def test_kernel_work_of_a_full_run(monkeypatch):
         "chains.build_chain": (chains, "build_chain", 318),
         # dimension_bounds' 21,042, and 211 for the existence half of nonexistence
         "strata.stratum_dimension": (strata, "stratum_dimension", 21_253),
-        "strata.enumerate_types": (strata, "enumerate_types", 13),
+        "strata.enumerate_types": (strata, "enumerate_types", 9),
         # the checks build their (r, ell) tables once: balanced types 28 + 10 + 21, and
         # decompositions 28 + 21 beside ell_round_trip's 861, degeneracy_dims' 1,980
         # and one per balanced type
