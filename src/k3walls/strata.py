@@ -9,6 +9,7 @@ unique type of section count zero (r = -1).
 from __future__ import annotations
 
 import enum
+import functools
 
 from ._value import set_attr, value_class
 from .errors import DomainError, SearchBudgetExceeded
@@ -204,14 +205,16 @@ class StratumExtremes:
         set_attr(self, "saturated", saturated)
 
 
-def _type_sums(r: int, refined: bool) -> dict[int, int]:
-    """Maps M to the set of S, as a bitmask, over the valid types of r with sum(m) = M.
+@functools.lru_cache(maxsize=64)
+def _type_sums(r: int, refined: bool) -> tuple[tuple[int, int], ...]:
+    """Pairs (M, set of S as a bitmask) over the valid types of r with sum(m) = M, by descending M.
 
     The walk of enumerate_types, merged by M: pairs are added in descending
     e, from e = r down to 0, starting from the empty type, and a state holds
     the reachable S as the bits of an integer, so adding (e, m) shifts a
     whole set by m*e.  _max_multiplicity reads M alone, so the states of one
-    M have the same extensions.
+    M have the same extensions.  The table depends on (r, refined) alone, so
+    it is cached: a sweep over surfaces and vectors builds it once per r.
     """
     reach = {0: 1}
     for e in range(r, -1, -1):
@@ -220,12 +223,12 @@ def _type_sums(r: int, refined: bool) -> dict[int, int]:
             for m in range(1, _max_multiplicity(r, e, sum_m, refined) + 1):
                 grown[sum_m + m] = grown.get(sum_m + m, 0) | mask << (m * e)
         reach = grown
-    sums: dict[int, int] = {}
-    for sum_m, mask in reach.items():
-        mask &= -1 << (r + 1 - sum_m)  # r+1 <= S + M
+    sums = []
+    for sum_m in sorted(reach, reverse=True):
+        mask = reach[sum_m] & -1 << (r + 1 - sum_m)  # r+1 <= S + M
         if mask:
-            sums[sum_m] = mask
-    return sums
+            sums.append((sum_m, mask))
+    return tuple(sums)
 
 
 def dimension_extremes(
@@ -239,10 +242,9 @@ def dimension_extremes(
     saturated types of one ell share S = r+1-M.
     """
     _check_section_count(r)
-    sums = _type_sums(r, refined)
     out = []
-    for sum_m in sorted(sums, reverse=True):
-        mask, ell = sums[sum_m], r + 1 - sum_m
+    for sum_m, mask in _type_sums(r, refined):
+        ell = r + 1 - sum_m
         least_s, greatest_s = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
         ends = (_dimension(params, v, sum_m, least_s), _dimension(params, v, sum_m, greatest_s))
         out.append(

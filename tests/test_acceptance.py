@@ -14,26 +14,21 @@ import time
 from fractions import Fraction
 
 import k3walls
-from k3walls import (
-    MukaiVector,
+from k3walls import tableaux, verify
+from k3walls.chains import build_chain
+from k3walls.hbn import rho
+from k3walls.lattice import MukaiVector, SurfaceParams, line_bundle_vector
+from k3walls.stability import (
     StabilityParams,
     StabilityPoint,
-    SurfaceParams,
-    build_chain,
     default_epsilon,
-    dimension_extremes,
-    enumerate_types,
     epsilon_threshold,
-    line_bundle_vector,
-    oracle_check,
-    passes_square_filter,
     projection,
-    rho,
     slope,
     wall_on_axis,
-    wall_sequence,
 )
-from k3walls import tableaux, verify
+from k3walls.strata import dimension_extremes, enumerate_types, passes_square_filter, wall_sequence
+from k3walls.tableaux import oracle_check
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 # the directory holding the k3walls package, absolute so that child processes

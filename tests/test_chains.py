@@ -1,16 +1,16 @@
 import pytest
 
-from k3walls import (
+from k3walls import chains, verify
+from k3walls.chains import (
     ChainComponent,
     ChainSeries,
-    DomainError,
     RamificationSequence,
     build_chain,
     complement,
-    rho,
     verify_chain,
 )
-from k3walls import chains, verify
+from k3walls.errors import DomainError
+from k3walls.hbn import rho
 
 
 def seq(*alphas):

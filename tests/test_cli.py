@@ -504,6 +504,24 @@ def test_cli_loads_no_dataclasses_typing_or_inspect():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+@pytest.mark.parametrize(
+    "module, loaded",
+    [
+        ("k3walls", "k3walls"),
+        # the tableau oracle reads rho_k and the lattice's input checks, no layer above them
+        ("k3walls.tableaux", "k3walls k3walls._value k3walls.errors k3walls.hbn k3walls.lattice k3walls.tableaux"),
+    ],
+    ids=["package", "tableaux"],
+)
+def test_import_loads_only_what_the_module_uses(module, loaded):
+    # the package re-exports nothing, so importing a module loads only the modules it imports
+    script = f"import sys\nimport {module}\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'k3walls'))\n"
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == loaded.split()
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["rho", "--help"]], ids=["--help", "rho --help"])
 def test_help_returns_zero(capsys, argv):
     code, out, _ = run_cli(capsys, *argv)

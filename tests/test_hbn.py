@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3walls import (
-    DomainError,
+from k3walls.errors import DomainError
+from k3walls.hbn import (
     SplittingType,
     balanced_correspondence,
     degeneracy_dims,

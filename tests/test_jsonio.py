@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3walls import DomainError
+from k3walls.errors import DomainError
 from k3walls.jsonio import dumps_canonical, frac_str, parse_frac
 
 

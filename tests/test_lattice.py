@@ -4,18 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from k3walls import (
-    DomainError,
+from k3walls.errors import DomainError, OracleViolation
+from k3walls.lattice import (
     MukaiVector,
     PicClass,
     SurfaceParams,
+    _char_poly,
+    check_special_shape,
     discriminant,
     intersection,
     line_bundle_vector,
     mukai_pairing,
 )
-from k3walls.errors import OracleViolation
-from k3walls.lattice import _char_poly, check_special_shape
 
 P32 = SurfaceParams(3, 2)
 P52 = SurfaceParams(5, 2)

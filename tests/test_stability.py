@@ -4,24 +4,24 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from k3walls import (
+from k3walls.errors import DomainError
+from k3walls.lattice import MukaiVector, SurfaceParams, line_bundle_vector
+from k3walls.stability import (
     INFINITE_SLOPE,
-    DomainError,
-    MukaiVector,
+    KIND_ORIGIN_RAY,
     StabilityParams,
     StabilityPoint,
-    SurfaceParams,
+    WallPoint,
+    _wall_kind,
     central_charge,
     default_epsilon,
     epsilon_threshold,
-    line_bundle_vector,
     nowall_threshold,
     projection,
     slope,
     two_value_violations,
     wall_on_axis,
 )
-from k3walls.stability import KIND_ORIGIN_RAY, WallPoint, _wall_kind
 
 P32 = SurfaceParams(3, 2)
 SP = StabilityParams(P32, Fraction(1, 10))  # H_eps^2 = 11/25, H.H_eps = 12/5

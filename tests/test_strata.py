@@ -4,32 +4,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from k3walls import (
-    DomainError,
+from k3walls import strata, verify
+from k3walls.chains import RamificationSequence
+from k3walls.errors import DomainError, SearchBudgetExceeded
+from k3walls.hbn import SplittingType
+from k3walls.lattice import (
     MukaiVector,
-    RamificationSequence,
-    SplittingType,
-    StabilityParams,
+    SurfaceParams,
+    check_special_shape,
+    line_bundle_vector,
+    mukai_pairing,
+    square,
+)
+from k3walls.stability import StabilityParams
+from k3walls.strata import (
     StabilityType,
     StratumExtremes,
-    SurfaceParams,
-    Tableau,
     Verdict,
     balanced_type,
     dimension_extremes,
     ell_value,
     enumerate_types,
-    line_bundle_vector,
-    mukai_pairing,
     passes_square_filter,
-    square,
     stratum_dimension,
     type_verdict,
     wall_sequence,
 )
-from k3walls import strata, verify
-from k3walls.errors import SearchBudgetExceeded
-from k3walls.lattice import check_special_shape
+from k3walls.tableaux import Tableau
 
 P52 = SurfaceParams(5, 2)
 V53 = MukaiVector(0, 1, 0, -1)  # genus 5, degree 3
@@ -319,7 +320,7 @@ def test_type_sums_work_pinned(monkeypatch):
     monkeypatch.setattr(strata, "_max_multiplicity", counting)
     for refined, transitions in [(False, 4_080), (True, 1_989)]:
         bounds.clear()
-        strata._type_sums(20, refined)
+        strata._type_sums.__wrapped__(20, refined)  # past the cache, which may hold r = 20
         assert sum(max(0, b) for b in bounds) == transitions, refined
 
 
@@ -329,7 +330,16 @@ def test_type_sums_match_enumeration(refined):
         sums = {}
         for t in enumerate_types(r, refined).items:
             sums[t.sum_m] = sums.get(t.sum_m, 0) | 1 << t.sum_me
-        assert strata._type_sums(r, refined) == sums, r
+        table = strata._type_sums(r, refined)
+        assert dict(table) == sums, r
+        assert [sum_m for sum_m, _ in table] == sorted(sums, reverse=True), r
+
+
+def test_type_sums_built_once_per_r():
+    # dimension_bounds sweeps 540 (surface, vector, r) instances over r = 0..4
+    strata._type_sums.cache_clear()
+    verify.check_strata_dimension_bounds(8, 5)
+    assert strata._type_sums.cache_info().misses == 5
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,8 @@
 import pytest
 
-from k3walls import (
-    DomainError,
-    OracleViolation,
-    SearchBudgetExceeded,
-    Tableau,
-    is_valid,
-    max_omitted,
-    oracle_check,
-)
 from k3walls import tableaux
-from k3walls.tableaux import max_omitted_naive
+from k3walls.errors import DomainError, OracleViolation, SearchBudgetExceeded
+from k3walls.tableaux import Tableau, is_valid, max_omitted, max_omitted_naive, oracle_check
 
 
 def test_is_valid_examples():
