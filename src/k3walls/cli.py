@@ -338,7 +338,7 @@ def build_parser() -> _ArgumentParser:
     p = sub.add_parser("tableaux", help="displacement-tableau oracle vs the closed formula")
     for flag in ("--g", "--k", "--r", "--d"):
         _add_int(p, flag)
-    p.add_argument("--budget", type=int, default=None, help="search node limit")
+    p.add_argument("--budget", type=int, default=tableaux.MAX_NODES, help="search node limit")
     p.set_defaults(fn=_cmd_tableaux)
 
     p = sub.add_parser("chain", help="elliptic-chain ramification data and its verification")

@@ -53,6 +53,11 @@ def _grid_shape(g: int, r: int, d: int) -> tuple[int, int]:
 #: before a grid is allocated.
 MAX_CELLS = 900
 
+#: The most nodes a search visits by default: over ten times the 945,230 of
+#: (18, 3, 1, 12), the largest that verify or the tests run, and 15-25 s of
+#: search (Python 3.11, one core of a 2-CPU host).
+MAX_NODES = 10**7
+
 
 def _search_shape(g: int, r: int, d: int) -> tuple[int, int]:
     rows, cols = _grid_shape(g, r, d)
@@ -103,7 +108,7 @@ def _result(best: int, witness: Tableau | None, nodes: int) -> SearchResult:
     return SearchResult(feasible, best if feasible else None, witness, nodes)
 
 
-def max_omitted(g: int, k: int, r: int, d: int, budget: int | None = None) -> SearchResult:
+def max_omitted(g: int, k: int, r: int, d: int, budget: int = MAX_NODES) -> SearchResult:
     """Exhaustive maximum of g - #labels over valid tableaux.
 
     Backtracks over cells in row-major order with ascending labels, so the
@@ -113,7 +118,7 @@ def max_omitted(g: int, k: int, r: int, d: int, budget: int | None = None) -> Se
     """
     rows, cols = _search_shape(g, r, d)
     check_pencil_degree(k)
-    if budget is not None and budget < 0:
+    if budget < 0:
         raise DomainError(f"budget must be >= 0, got {budget}", code="bad_budget")
     total = rows * cols
     grid = [[0] * cols for _ in range(rows)]
@@ -123,7 +128,7 @@ def max_omitted(g: int, k: int, r: int, d: int, budget: int | None = None) -> Se
     def dfs(idx: int) -> None:
         nonlocal best, witness, nodes
         nodes += 1
-        if budget is not None and nodes > budget:
+        if nodes > budget:
             raise SearchBudgetExceeded(budget, nodes)
         if idx == total:
             omitted = g - len(residue)
@@ -230,7 +235,7 @@ class OracleReport:
         set_attr(self, "witness", witness)
 
 
-def oracle_check(g: int, k: int, r: int, d: int, budget: int | None = None) -> OracleReport:
+def oracle_check(g: int, k: int, r: int, d: int, budget: int = MAX_NODES) -> OracleReport:
     """Run the tableau search against the closed formula and cross-check.
 
     Hard failures: a feasible search exceeding rho_k, or an infeasible search

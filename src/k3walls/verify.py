@@ -5,10 +5,8 @@ its pass detail and raises ``CheckFailed`` on a counterexample.  Checks
 are grouped by the module whose invariants they exercise.  Defining
 ``check_<suite>_<rest>`` registers it: ``CHECKS[<suite>]`` lists them in
 definition order, and it reports under the name ``<suite>.<rest>``.
-``run_checks`` runs a set of suites and returns results in canonical name
-order.  By default it runs them one after another in the calling process;
-asked for more processes, it also runs them in forked workers, with the same
-results.
+``run_checks`` runs a set of suites, in this process and in any forked
+workers it may start, and returns results in canonical name order.
 """
 
 from __future__ import annotations
@@ -455,20 +453,21 @@ def _taken(tasks: int):
         yield index[0]
 
 
-def _run_forked(selected: list, max_g: int, max_k: int, processes: int) -> list[CheckResult]:
+def _run(selected: list, max_g: int, max_k: int, processes: int) -> list[CheckResult]:
     """Run the checks in this process and in processes - 1 forked workers.
 
-    Every process takes check indices from one pipe, one byte each (so at
-    most 256 checks), and the work balances as it runs.  A worker writes
-    JSON lines to a pipe of its own: [i] when it takes check i, then
-    [i, ok, detail].  A check that no process reports, because its worker
-    died, fails with that worker's exit status.
+    Where the OS cannot fork, this process runs them all.  Every process
+    takes check indices from one pipe, one byte each (so at most 256 checks),
+    and the work balances as it runs.  A worker writes JSON lines to a pipe
+    of its own: [i] when it takes check i, then [i, ok, detail].  A check
+    that no process reports, because its worker died, fails with that
+    worker's exit status.
     """
     tasks, feed = os.pipe()
     os.write(feed, bytes(range(len(selected))))
     os.close(feed)
     workers = {}  # pid -> read end of its result pipe
-    for _ in range(processes - 1):
+    for _ in range(processes - 1 if hasattr(os, "fork") else 0):
         read_end, write_end = os.pipe()
         try:
             pid = os.fork()
@@ -514,7 +513,7 @@ def _run_forked(selected: list, max_g: int, max_k: int, processes: int) -> list[
 
 #: The largest grid run_checks takes; the acceptance tests run a check at
 #: (40, 12), the largest range any caller sets.  Serially, on Python 3.11.7,
-#: "all" took 3.9 s at (40, 12), best of 3.
+#: "all" took 10.5 s at (40, 12), best of 3 on 2 CPUs at load average 0.7.
 MAX_GRID_G = 40
 MAX_GRID_K = 12
 
@@ -539,9 +538,5 @@ def run_checks(suite: str, max_g: int, max_k: int, processes: int = 1) -> list[C
         selected = list(CHECKS[suite])
     else:
         raise DomainError(f"unknown suite {suite!r}", code="unknown_suite")
-    processes = min(processes, len(selected))
-    if processes > 1 and hasattr(os, "fork"):
-        results = _run_forked(selected, max_g, max_k, processes)
-    else:
-        results = [_guarded(fn, max_g, max_k) for fn in selected]
+    results = _run(selected, max_g, max_k, min(processes, len(selected)))
     return sorted(results, key=lambda res: res.name)

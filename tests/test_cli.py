@@ -157,6 +157,17 @@ def test_types_budget_at_large_r(capsys):
     assert "400001 types > limit 400000" in err
 
 
+def test_tableaux_default_budget(capsys, monkeypatch):
+    # 30 cells, far under MAX_CELLS, and a search past MAX_NODES nodes; the
+    # largest that verify and the tests run, (18, 3, 1, 12), takes 945,230
+    assert tableaux.MAX_NODES == 10**7
+    monkeypatch.setattr(tableaux, "MAX_NODES", 1000)
+    code, out, err = run_cli(capsys, "tableaux", "--g", "20", "--k", "3", "--r", "2", "--d", "12")
+    assert code == 1
+    assert payload(out)["error"]["code"] == "budget_exhausted"
+    assert "1001 nodes > limit 1000" in err
+
+
 @pytest.mark.parametrize("g", ["990", str(10**50)])
 def test_tableaux_grid_too_large(capsys, g):
     # a grid past tableaux.MAX_CELLS is refused before the search allocates it

@@ -75,6 +75,9 @@ def test_max_omitted_naive_nodes_pinned(inst, nodes):
 def test_max_omitted_budget():
     with pytest.raises(SearchBudgetExceeded):
         max_omitted(6, 2, 1, 4, budget=5)
+    for search in (max_omitted, oracle_check):  # every search is bounded
+        with pytest.raises(TypeError):
+            search(6, 2, 1, 4, budget=None)
 
 
 def test_oracle_check_examples():

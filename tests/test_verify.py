@@ -111,6 +111,12 @@ def test_lost_workers_fail_their_checks(monkeypatch):
         assert res.detail == f"worker exited with status {statuses[res.name]}"
 
 
+def test_without_fork_this_process_runs_every_check(monkeypatch):
+    serial = run_checks("lattice", 4, 3)
+    monkeypatch.delattr(os, "fork", raising=False)
+    assert run_checks("lattice", 4, 3, processes=4) == serial
+
+
 def test_in_process_main_never_forks(monkeypatch, capsys):
     def no_fork():
         raise AssertionError("an in-process cli.main call forked")
