@@ -225,7 +225,7 @@ def check_strata_nonexistence(max_g, max_k):
     # for nonnegative rho_k, the largest stratum_dimension - g over the balanced types
     # of v whose verdict is NON_EMPTY is rho_k, reached at rho_k's maximizers.
     balanced = _balanced_types(range(4))
-    for g, k, d, r in _grid(min(max_g, 8), min(max_k, 5), range(4)):
+    for g, k, d, r in _grid(min(max_g, 8), min(max_k, 5), range(4), d_from=0):
         value, argmax = hbn.rho_k(g, k, r, d)
         params, v = lattice.SurfaceParams(g, k), _vector_for(g, d)
         if value >= 0:
@@ -365,9 +365,7 @@ def check_tableaux_pruning(max_g, max_k):
 
 
 def check_tableaux_oracle(max_g, max_k):
-    for g, k, d, r in _grid(min(max_g, 8), min(max_k, 5), range(4)):
-        if (r + 1) * (g - d + r) > 12:
-            continue
+    for g, k, d, r in _grid(min(max_g, 8), min(max_k, 5), range(4), d_from=0):
         report = tableaux.oracle_check(g, k, r, d)  # raises on hard violations
         if report.rho_k >= 0 and not report.equality:
             raise CheckFailed(

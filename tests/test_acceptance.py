@@ -55,7 +55,7 @@ def criterion(number, label):
 @criterion(1, "tableaux agree with the closed formula")
 def test_criterion_1_tableaux_formula_agreement(monkeypatch):
     start = time.monotonic()
-    # g <= 8, k <= 5, r <= 3, 1 <= d < g, grids of at most 12 cells:
+    # g <= 8, k <= 5, r <= 3, 0 <= d < g:
     # oracle_check raises when omitted > rho_k or when an infeasible grid has
     # rho_k >= 0; the check also demands equality whenever rho_k >= 0
     calls = []
@@ -90,7 +90,7 @@ def test_criterion_3_degeneracy_identities():
 
 @criterion(4, "non-existence consistency")
 def test_criterion_4_nonexistence_consistency():
-    # g <= 8, k <= 5, 1 <= d < g, r <= 3: wherever rho_k < 0, every type has a
+    # g <= 8, k <= 5, 0 <= d < g, r <= 3: wherever rho_k < 0, every type has a
     # negative count and every enumerated balanced type is empty by necessity;
     # wherever rho_k >= 0, the non-empty balanced types reach dimension g + rho_k,
     # at exactly rho_k's maximizing ells

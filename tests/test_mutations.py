@@ -70,29 +70,36 @@ def test_every_rho_k_mutant_is_caught(monkeypatch):
 
 
 def test_search_coverage_pinned(monkeypatch):
-    # the instances at which check_tableaux_oracle asserts omitted == rho_k; its grid
-    # starts at d = 1 and holds at most 12 cells, so it misses 31 of the 205
-    real, searched = tableaux.oracle_check, set()
+    # the instances at which check_tableaux_oracle asserts omitted == rho_k, and at
+    # which check_strata_nonexistence reads rho_k >= 0 and so takes its existence branch
+    real_search, searched = tableaux.oracle_check, set()
+    real_rho_k, existence = hbn.rho_k, set()
 
-    def spy(g, k, r, d):
+    def search_spy(g, k, r, d):
         searched.add((g, k, r, d))
-        return real(g, k, r, d)
+        return real_search(g, k, r, d)
 
-    monkeypatch.setattr(tableaux, "oracle_check", spy)
+    def rho_k_spy(g, k, r, d):
+        value, argmax = real_rho_k(g, k, r, d)
+        if value >= 0:
+            existence.add((g, k, r, d))
+        return value, argmax
+
+    monkeypatch.setattr(tableaux, "oracle_check", search_spy)
     verify.check_tableaux_oracle(8, 5)
+    monkeypatch.setattr(hbn, "rho_k", rho_k_spy)
+    verify.check_strata_nonexistence(8, 5)
+    monkeypatch.undo()
     instances = _instances()
-    missed = [instance for instance in instances if instance not in searched]
-    assert len(instances) - len(missed) == 174
-    assert sum(d == 0 for _, _, _, d in missed) == 24
-    assert [instance for instance in missed if instance[3]] == [
-        (7, 2, 2, 4), (7, 2, 3, 6), (8, 2, 1, 2), (8, 2, 2, 4), (8, 2, 2, 5), (8, 2, 3, 6), (8, 2, 3, 7)
-    ]
+    assert len(instances) == 205
+    assert [instance for instance in instances if instance not in searched] == []
+    assert existence == set(instances)
 
 
 def test_search_never_reads_rho_k(monkeypatch):
-    # the pruning grid of check_tableaux_pruning
-    instances = [(g, k, r, d) for g, k, d, r in verify._grid(7, 4, range(3)) if (r + 1) * (g - d + r) <= 9]
-    assert len(instances) == 117
+    # the grid of check_tableaux_oracle
+    instances = [(g, k, r, d) for g, k, d, r in verify._grid(8, 5, range(4), d_from=0)]
+    assert len(instances) == 528
     expected = [tableaux.max_omitted(*instance) for instance in instances]
 
     def raising(g, k, r, d):

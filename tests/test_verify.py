@@ -159,14 +159,14 @@ def test_available_cpus_is_positive():
 GRID_DRAWS = {
     "strata.dimension_identity": 924,
     "strata.dimension_bounds": 540,
-    "strata.nonexistence": 432,
+    "strata.nonexistence": 528,
     "strata.square_filter": 432,
     "hbn.rho_k_dominates": 1008,
     "hbn.rho_k_monotone": 144,
     "hbn.degeneracy_identity": 924,
     "hbn.splitting_correspondence": 648,
     "tableaux.pruning": 180,
-    "tableaux.oracle": 432,
+    "tableaux.oracle": 528,
     "chains.verify": 660,
     "chains.telescoping": 660,
 }
@@ -218,10 +218,10 @@ def _count_calls(monkeypatch, owner, name):
 def test_kernel_work_of_a_full_run(monkeypatch):
     # the counters the benchmark reports for a verify-all pass
     kernels = {
-        "hbn.rho_k": (hbn, "rho_k", 2_844),
+        "hbn.rho_k": (hbn, "rho_k", 3_216),
         "chains.build_chain": (chains, "build_chain", 318),
-        # dimension_bounds' 21,042, and 211 for the existence half of nonexistence
-        "strata.stratum_dimension": (strata, "stratum_dimension", 21_253),
+        # dimension_bounds' 21,042, and 235 for the existence half of nonexistence
+        "strata.stratum_dimension": (strata, "stratum_dimension", 21_277),
         "strata.enumerate_types": (strata, "enumerate_types", 9),
         # the checks build their (r, ell) tables once: balanced types 28 + 10 + 21, and
         # decompositions 28 + 21 beside ell_round_trip's 861, degeneracy_dims' 1,980
