@@ -1,5 +1,9 @@
+import gc
 import sys
 
 from .cli import main
 
-sys.exit(main())
+status = main()
+# the process exits next: spare its finalization collections a heap they would only traverse
+gc.freeze()
+sys.exit(status)

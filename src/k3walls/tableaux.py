@@ -180,39 +180,39 @@ def max_omitted_naive(g: int, k: int, r: int, d: int) -> SearchResult:
     rows, cols = _search_shape(g, r, d)
     check_pencil_degree(k)
     total = rows * cols
-    grid = [[0] * cols for _ in range(rows)]
+    # per cell: the index above and the index to the left, or the sentinel
+    # cell `total`, which always holds 0; and the residue of x - y mod k
+    up = [i - cols if i >= cols else total for i in range(total)]
+    left = [i - 1 if i % cols else total for i in range(total)]
+    diag = [(i // cols - i % cols) % k for i in range(total)]
+    labels = [0] * (total + 1)
+    residue = [-1] * (g + 1)  # label -> residue of the cells holding it, -1 if unused
     best, witness, nodes = -1, None, 0
 
-    def dfs(idx: int, used: dict[int, int]) -> None:
+    def dfs(idx: int, used: int) -> None:
         nonlocal best, witness, nodes
         nodes += 1
         if nodes > NAIVE_MAX_NODES:
             raise SearchBudgetExceeded(NAIVE_MAX_NODES, nodes)
         if idx == total:
-            omitted = g - len(used)
-            if omitted > best:
-                best = omitted
-                witness = Tableau(tuple(tuple(row) for row in grid))
+            if g - used > best:
+                best = g - used
+                witness = Tableau(tuple(tuple(labels[i : i + cols]) for i in range(0, total, cols)))
             return
-        x, y = divmod(idx, cols)
-        lo = 1
-        if x > 0:
-            lo = max(lo, grid[x - 1][y] + 1)
-        if y > 0:
-            lo = max(lo, grid[x][y - 1] + 1)
-        for v in range(lo, g + 1):
-            if v in used and used[v] != (x - y) % k:
-                continue
-            fresh = v not in used
-            if fresh:
-                used[v] = (x - y) % k
-            grid[x][y] = v
-            dfs(idx + 1, used)
-            grid[x][y] = 0
-            if fresh:
-                del used[v]
+        here = diag[idx]
+        # cells are filled in row-major order, so both neighbours hold labels
+        for v in range(max(labels[up[idx]], labels[left[idx]]) + 1, g + 1):
+            seen = residue[v]
+            if seen < 0:
+                labels[idx] = v
+                residue[v] = here
+                dfs(idx + 1, used + 1)
+                residue[v] = -1
+            elif seen == here:
+                labels[idx] = v
+                dfs(idx + 1, used)
 
-    dfs(0, {})
+    dfs(0, 0)
     return _result(best, witness, nodes)
 
 

@@ -172,3 +172,18 @@ def test_verify_chain_pattern_detected():
         "component 1: adjusted count 1, expected 0",
         "component 2: adjusted count -1, expected 0",
     )
+
+
+def test_chain_and_report_do_not_read_k():
+    # the chain checks build and check one chain per (g, d, r), at the first k
+    for g in range(1, 13):
+        for d in range(g):
+            for r in range(5):
+                if rho(g, r, d) < 0:
+                    continue
+                first = build_chain(g, r + 2, r, d)
+                report = verify_chain(first)
+                for k in range(r + 3, r + 6):
+                    chain = build_chain(g, k, r, d)
+                    assert chain.components == first.components
+                    assert verify_chain(chain) == report

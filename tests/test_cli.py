@@ -661,3 +661,19 @@ def test_cli_contract(tmp_path_factory, argv, missing_dir):
     assert text.count("\n") == 1 and text.endswith("\n"), argv
     doc = json.loads(text)
     assert ("error" in doc) == (code == 1), argv
+
+
+@pytest.mark.parametrize(
+    "argv, status",
+    [(["rho-k", "--g", "5", "--k", "2", "--r", "1", "--d", "3"], 0), (["rho", "--g", "x"], 1)],
+    ids=["answer", "bad_usage"],
+)
+def test_entry_point_exits_with_the_status_of_main(capsys, argv, status):
+    # python -m k3walls freezes the heap after main returns; the bytes and the status stay
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    proc = subprocess.run([sys.executable, "-m", "k3walls", *argv], env=env, capture_output=True)
+    code, out, _ = run_cli(capsys, *argv)
+    assert proc.returncode == code == status
+    assert proc.stdout == out.encode()
+    if status:
+        assert payload(out)["error"]["code"] == "bad_usage"

@@ -219,7 +219,8 @@ def test_kernel_work_of_a_full_run(monkeypatch):
     # the counters the benchmark reports for a verify-all pass
     kernels = {
         "hbn.rho_k": (hbn, "rho_k", 3_216),
-        "chains.build_chain": (chains, "build_chain", 318),
+        # one chain per (g, d, r): 42 distinct triples for each of the two chain checks
+        "chains.build_chain": (chains, "build_chain", 84),
         # dimension_bounds' 21,042, and 235 for the existence half of nonexistence
         "strata.stratum_dimension": (strata, "stratum_dimension", 21_277),
         "strata.enumerate_types": (strata, "enumerate_types", 9),
