@@ -36,7 +36,7 @@ class RamificationSequence:
     """Non-decreasing integers 0 <= a_0 <= ... <= a_r <= d-r, a tuple of plain ints."""
 
     def __init__(self, alphas: tuple[int, ...]):
-        if type(alphas) is not tuple or not all(type(a) is int for a in alphas):
+        if type(alphas) is not tuple or not {*map(type, alphas)} <= {int}:
             raise DomainError(
                 f"entries must be a tuple of integers, got {alphas!r}",
                 code="ill_formed_ramification",
@@ -52,7 +52,7 @@ class RamificationSequence:
                 f"expected {r + 1} entries, got {len(a)}", code="ill_formed_ramification"
             )
         # a non-decreasing sequence is nonnegative when its first entry is
-        if any(x > y for x, y in zip(a, a[1:])) or a[0] < 0 or a[-1] > d - r:
+        if list(a) != sorted(a) or a[0] < 0 or a[-1] > d - r:
             raise DomainError(
                 f"entries must be non-decreasing in [0, {d - r}], got {a}",
                 code="ill_formed_ramification",
@@ -68,7 +68,7 @@ class RamificationSequence:
 
 def _complement(r: int, d: int, alphas: tuple[int, ...]) -> RamificationSequence:
     """beta_j = d - r - alpha_{r-j}, for entries already known to be valid."""
-    return RamificationSequence(tuple(d - r - x for x in reversed(alphas)))
+    return RamificationSequence(tuple([d - r - x for x in reversed(alphas)]))
 
 
 def complement(r: int, d: int, seq: RamificationSequence) -> RamificationSequence:
@@ -155,15 +155,9 @@ def build_chain(g: int, k: int, r: int, d: int) -> ChainSeries:
     for a in range(1, g + 1):
         alpha_in = incoming[a - 1]
         alpha_out = _complement(r, d, incoming[a].alphas)
-        components.append(
-            ChainComponent(
-                a=a,
-                alpha_in=alpha_in,
-                alpha_out=alpha_out,
-                adjusted_rho=rho_elliptic - alpha_in.weight - alpha_out.weight,
-            )
-        )
-    return ChainSeries(g=g, k=k, r=r, d=d, components=tuple(components))
+        adjusted = rho_elliptic - alpha_in.weight - alpha_out.weight
+        components.append(ChainComponent(a, alpha_in, alpha_out, adjusted))
+    return ChainSeries(g, k, r, d, tuple(components))
 
 
 @value_class

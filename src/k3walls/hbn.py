@@ -35,7 +35,7 @@ def rho_k(g: int, k: int, r: int, d: int) -> tuple[int, list[int]]:
     check_pencil_degree(k)
     twice_vertex = (r + 1) + (g - d + r) - k
     half = twice_vertex // 2
-    lo, hi = (min(max(ell, 0), r) for ell in (half, twice_vertex - half))  # floor, ceiling
+    lo, hi = min(max(half, 0), r), min(max(twice_vertex - half, 0), r)  # floor, ceiling
     return rho(g, r - lo, d) - lo * k, [lo] if lo == hi else [lo, hi]
 
 
@@ -59,7 +59,7 @@ def ell_decompose(r: int, ell: int) -> EllDecomposition:
         raise DomainError(f"need 0 <= ell <= r, got ell={ell}, r={r}", code="ell_out_of_range")
     width = r + 1 - ell
     e, m1 = divmod(ell, width)
-    return EllDecomposition(ell=ell, e=e, m1=m1, m2=width - m1)
+    return EllDecomposition(ell, e, m1, width - m1)
 
 
 @value_class
@@ -83,8 +83,7 @@ def degeneracy_dims(g: int, k: int, d: int, r: int, ell: int) -> DegeneracyDims:
         raise DomainError(f"need d <= g-1, got d={d}, g={g}", code="degree_out_of_range")
     if not max(0, r + 2 - k) <= ell <= r:
         raise DomainError(
-            f"need max(0, r+2-k) <= ell <= r, got ell={ell} for r={r}, k={k}",
-            code="ell_out_of_range",
+            f"need max(0, r+2-k) <= ell <= r, got ell={ell} for r={r}, k={k}", code="ell_out_of_range"
         )
     dec = ell_decompose(r, ell)
     e, m1 = dec.e, dec.m1
@@ -98,7 +97,7 @@ def degeneracy_dims(g: int, k: int, d: int, r: int, ell: int) -> DegeneracyDims:
             f"degeneracy dimension {expected} != {closed_form} "
             f"at (g,k,d,r,ell)=({g},{k},{d},{r},{ell})"
         )
-    return DegeneracyDims(s=s, rk_e=rk_e, rk_f=rk_f, expected_dim=expected)
+    return DegeneracyDims(s, rk_e, rk_f, expected)
 
 
 @value_class
@@ -109,14 +108,19 @@ class SplittingType:
     """
 
     def __init__(self, pairs: tuple[tuple[int, int], ...]):
-        if type(pairs) is not tuple or not all(
-            type(pair) is tuple and len(pair) == 2 and type(pair[0]) is int and type(pair[1]) is int
-            for pair in pairs
-        ):
+        # one pass; an ill-formed pair anywhere is reported before the other two faults
+        well_formed, positive, decreasing = type(pairs) is tuple, True, True
+        for i, pair in enumerate(pairs if well_formed else ()):
+            if not (type(pair) is tuple and len(pair) == 2 and type(pair[0]) is type(pair[1]) is int):
+                well_formed = False
+                break
+            positive = positive and pair[1] > 0
+            decreasing = decreasing and (i == 0 or pairs[i - 1][0] > pair[0])
+        if not well_formed:
             raise DomainError("a splitting type is a tuple of integer pairs", code="ill_formed_splitting")
-        if any(n <= 0 for _, n in pairs):
+        if not positive:
             raise DomainError("splitting multiplicities must be positive", code="ill_formed_splitting")
-        if any(f <= f_next for (f, _), (f_next, _) in zip(pairs, pairs[1:])):
+        if not decreasing:
             raise DomainError("splitting degrees must strictly decrease", code="ill_formed_splitting")
         set_attr(self, "pairs", pairs)
 
@@ -135,18 +139,14 @@ def splitting_nonneg_part(g: int, k: int, d: int, st: SplittingType) -> Splittin
     """Validate a splitting type against (g, k, d) and return its f >= 0 part."""
     if d > g - 1:
         raise DomainError(f"need d <= g-1, got d={d}, g={g}", code="degree_out_of_range")
-    if st.rank() != k:
-        raise DomainError(
-            f"rank mismatch: multiplicities sum to {st.rank()}, expected k={k}", code="rank_mismatch"
-        )
+    if (rank := st.rank()) != k:
+        raise DomainError(f"rank mismatch: multiplicities sum to {rank}, expected k={k}", code="rank_mismatch")
     if st.pairs[-1][0] >= 0:
         raise DomainError("no negative summand", code="no_negative_summand")
     want = d + 1 - g - k
-    if st.degree() != want:
-        raise DomainError(
-            f"degree mismatch: degrees sum to {st.degree()}, expected {want}", code="degree_mismatch"
-        )
-    return SplittingType(tuple((f, n) for f, n in st.pairs if f >= 0))
+    if (degree := st.degree()) != want:
+        raise DomainError(f"degree mismatch: degrees sum to {degree}, expected {want}", code="degree_mismatch")
+    return SplittingType(tuple([pair for pair in st.pairs if pair[0] >= 0]))
 
 
 def balanced_correspondence(nonneg: Iterable[int]) -> tuple[int, int, int]:
@@ -156,12 +156,12 @@ def balanced_correspondence(nonneg: Iterable[int]) -> tuple[int, int, int]:
     level f with multiplicity n maps to (f, 0, n).
     """
     values = sorted(nonneg, reverse=True)
-    if not values or any(v < 0 for v in values):
+    if not values or values[-1] < 0:
         raise DomainError("not balanced", code="not_balanced")
-    levels = sorted(set(values), reverse=True)
-    if len(levels) == 1:
-        return levels[0], 0, len(values)
-    if len(levels) == 2 and levels[0] == levels[1] + 1:
-        m1 = values.count(levels[0])
-        return levels[1], m1, len(values) - m1
+    top, bottom = values[0], values[-1]
+    if top == bottom:
+        return top, 0, len(values)
+    if top == bottom + 1:
+        m1 = values.count(top)
+        return bottom, m1, len(values) - m1
     raise DomainError("not balanced", code="not_balanced")

@@ -113,7 +113,7 @@ def square(params: SurfaceParams, v: MukaiVector) -> int:
 
 def discriminant(params: SurfaceParams, v: MukaiVector) -> int:
     """Discriminant ch1^2 - 2*ch0*ch2; equals <v,v> + 2*r^2."""
-    return intersection(params, v.c1, v.c1) - 2 * v.r * v.ch2
+    return _intersect(params, v.x, v.y, v.x, v.y) - 2 * v.r * v.ch2
 
 
 def line_bundle_vector(e: int) -> MukaiVector:

@@ -245,16 +245,12 @@ def dimension_extremes(
     out = []
     for sum_m, mask in _type_sums(r, refined):
         ell = r + 1 - sum_m
-        least_s, greatest_s = (mask & -mask).bit_length() - 1, mask.bit_length() - 1
-        ends = (_dimension(params, v, sum_m, least_s), _dimension(params, v, sum_m, greatest_s))
+        at_least = _dimension(params, v, sum_m, (mask & -mask).bit_length() - 1)
+        at_greatest = _dimension(params, v, sum_m, mask.bit_length() - 1)
+        # a saturated type has S = r+1-M = ell
+        saturated = _dimension(params, v, sum_m, ell) if mask >> ell & 1 else None
         out.append(
-            StratumExtremes(
-                ell=ell,
-                least=min(ends),
-                largest=max(ends),
-                # a saturated type has S = r+1-M = ell
-                saturated=_dimension(params, v, sum_m, ell) if mask >> ell & 1 else None,
-            )
+            StratumExtremes(ell, min(at_least, at_greatest), max(at_least, at_greatest), saturated)
         )
     return tuple(out)
 
@@ -282,7 +278,7 @@ def type_verdict(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> Ver
     case.  Anything else is unknown.
     """
     check_special_shape(v)
-    if not passes_square_filter(params, v, t):
+    if _residual_square(params, v, t.sum_m, t.sum_me) < -2:  # the square filter
         return Verdict.EMPTY_BY_NECESSITY
     pairs, ch2 = t.pairs, v.s - v.r
     balanced = len(pairs) == 1 or (len(pairs) == 2 and pairs[0][0] == pairs[1][0] + 1)

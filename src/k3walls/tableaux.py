@@ -235,29 +235,27 @@ class OracleReport:
         set_attr(self, "witness", witness)
 
 
-def oracle_check(g: int, k: int, r: int, d: int, budget: int = MAX_NODES) -> OracleReport:
+def oracle_check(
+    g: int, k: int, r: int, d: int, budget: int = MAX_NODES, result: SearchResult | None = None
+) -> OracleReport:
     """Run the tableau search against the closed formula and cross-check.
 
+    ``result``, when given, is taken as max_omitted(g, k, r, d) without a search.
     Hard failures: a feasible search exceeding rho_k, or an infeasible search
     with rho_k >= 0.  Equality of the two values is recorded, not enforced.
     """
-    result = max_omitted(g, k, r, d, budget=budget)
+    if result is None:
+        result = max_omitted(g, k, r, d, budget=budget)
     value, argmax = rho_k(g, k, r, d)
-    if result.feasible:
-        if result.omitted > value:
-            raise OracleViolation(
-                f"omitted {result.omitted} exceeds rho_k {value} at (g,k,r,d)=({g},{k},{r},{d})"
-            )
-    else:
-        if value >= 0:
-            raise OracleViolation(
-                f"no valid tableau but rho_k {value} >= 0 at (g,k,r,d)=({g},{k},{r},{d})"
-            )
+    if result.feasible and result.omitted > value:
+        raise OracleViolation(
+            f"omitted {result.omitted} exceeds rho_k {value} at (g,k,r,d)=({g},{k},{r},{d})"
+        )
+    if not result.feasible and value >= 0:
+        raise OracleViolation(
+            f"no valid tableau but rho_k {value} >= 0 at (g,k,r,d)=({g},{k},{r},{d})"
+        )
+    feasible, omitted = result.feasible, result.omitted
     return OracleReport(
-        feasible=result.feasible,
-        omitted=result.omitted,
-        rho_k=value,
-        argmax_ell=tuple(argmax),
-        equality=result.feasible and result.omitted == value,
-        witness=result.witness,
+        feasible, omitted, value, tuple(argmax), feasible and omitted == value, result.witness
     )

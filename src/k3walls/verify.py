@@ -52,18 +52,40 @@ def _grid(max_g, max_k, ranks, d_from=1, g_from=3):
                     yield g, k, d, r
 
 
-def _random_vector(rng, bound):
-    return lattice.MukaiVector(*(rng.randint(-bound, bound) for _ in range(4)))
+def _draws(seed):
+    """A function giving, call for call, what random.Random(seed).randint gives.
+
+    It runs randint's own rejection loop on getrandbits (as Python 3.10 to
+    3.13 do) without randrange's argument checks, which cost more than the
+    draw.
+    """
+    getrandbits = random.Random(seed).getrandbits
+
+    def randint(low, high):
+        n = high - low + 1
+        bits = n.bit_length()
+        drawn = getrandbits(bits)
+        while drawn >= n:
+            drawn = getrandbits(bits)
+        return low + drawn
+
+    return randint
+
+
+def _random_vector(randint, bound):
+    return lattice.MukaiVector(
+        randint(-bound, bound), randint(-bound, bound), randint(-bound, bound), randint(-bound, bound)
+    )
 
 
 # ---------------------------------------------------------------- lattice
 
 def check_lattice_bilinearity(max_g, max_k, budget=300):
-    rng = random.Random(20240801)
+    randint = _draws(20240801)
     for params in _surfaces(min(max_g, 6), min(max_k, 4)):
         for _ in range(budget // 10):
-            u, v, w = (_random_vector(rng, 10**6) for _ in range(3))
-            a, b = rng.randint(-50, 50), rng.randint(-50, 50)
+            u, v, w = (_random_vector(randint, 10**6) for _ in range(3))
+            a, b = randint(-50, 50), randint(-50, 50)
             if lattice.mukai_pairing(params, u, v) != lattice.mukai_pairing(params, v, u):
                 raise CheckFailed(f"symmetry fails at {u}, {v}")
             left = lattice.mukai_pairing(params, a * u + b * v, w)
@@ -74,10 +96,10 @@ def check_lattice_bilinearity(max_g, max_k, budget=300):
 
 
 def check_lattice_discriminant(max_g, max_k, budget=500):
-    rng = random.Random(20240802)
+    randint = _draws(20240802)
     for params in _surfaces(min(max_g, 6), min(max_k, 4)):
         for _ in range(budget // 10):
-            v = _random_vector(rng, 10**6)
+            v = _random_vector(randint, 10**6)
             if lattice.discriminant(params, v) != lattice.square(params, v) + 2 * v.r * v.r:
                 raise CheckFailed(f"identity fails at {v}")
     return "discriminant matches pairing plus 2r^2"
@@ -91,9 +113,9 @@ def check_lattice_signature(max_g, max_k):
 
 
 def check_lattice_pencil_spherical(max_g, max_k):
+    pencils = [lattice.line_bundle_vector(e) for e in range(101)]
     for params in _surfaces(max_g, max_k):
-        for e in range(101):
-            u = lattice.line_bundle_vector(e)
+        for e, u in enumerate(pencils):
             if lattice.square(params, u) != -2:
                 raise CheckFailed(f"square off at e={e}")
     return "pencil powers are spherical"
@@ -101,43 +123,59 @@ def check_lattice_pencil_spherical(max_g, max_k):
 
 # -------------------------------------------------------------- stability
 
+def _points(b_range, b_denominator, w_range, w_denominator):
+    """(b, w) -> StabilityPoint(b / b_denominator, w / w_denominator), for b and w in their ranges."""
+    return {
+        (b, w): stability.StabilityPoint(Fraction(b, b_denominator), Fraction(w, w_denominator))
+        for b in b_range
+        for w in w_range
+    }
+
+
 def check_stability_slope_scaling(max_g, max_k):
-    rng = random.Random(20240803)
+    randint = _draws(20240803)
+    points = _points(range(-3, 4), 7, range(10), 5)
     for params in _surfaces(min(max_g, 5), min(max_k, 4)):
-        sp = stability.StabilityParams(params, Fraction(1, rng.randint(3, 30)))
+        sp = stability.StabilityParams(params, Fraction(1, randint(3, 30)))
         for _ in range(20):
-            v = _random_vector(rng, 40)
-            pt = stability.StabilityPoint(Fraction(rng.randint(-3, 3), 7), Fraction(rng.randint(0, 9), 5))
-            n = rng.randint(1, 9)
+            v = _random_vector(randint, 40)
+            pt = points[randint(-3, 3), randint(0, 9)]
+            n = randint(1, 9)
             if stability.slope(sp, pt, v) != stability.slope(sp, pt, n * v):
                 raise CheckFailed(f"scaling fails at {v}, n={n}")
     return "slope invariant under positive scaling"
 
 
 def check_stability_rank_zero_slope(max_g, max_k):
-    rng = random.Random(20240804)
+    randint = _draws(20240804)
+    points = _points(range(-4, 5), 5, range(13), 7)
     for params in _surfaces(min(max_g, 5), min(max_k, 4)):
-        sp = stability.StabilityParams(params, Fraction(1, rng.randint(3, 30)))
+        sp = stability.StabilityParams(params, Fraction(1, randint(3, 30)))
         for _ in range(20):
-            v = lattice.MukaiVector(0, rng.randint(0, 5), rng.randint(-5, 5), rng.randint(-9, 9))
+            v = lattice.MukaiVector(0, randint(0, 5), randint(-5, 5), randint(-9, 9))
             im = sp.pic_dot_h_eps(v.x, v.y)
             if im == 0:
                 continue
-            expected = Fraction(v.s) / im
+            expected = v.s / im
             for _ in range(3):
-                pt = stability.StabilityPoint(Fraction(rng.randint(-4, 4), 5), Fraction(rng.randint(0, 12), 7))
+                pt = points[randint(-4, 4), randint(0, 12)]
                 re, im2 = stability.central_charge(sp, pt, v)
-                if stability.slope(sp, pt, v) != expected or -re != expected * im2:
+                # -re == expected * im2, cross-multiplied so that no Fraction is built
+                if stability.slope(sp, pt, v) != expected or (
+                    -re.numerator * expected.denominator * im2.denominator
+                    != expected.numerator * im2.numerator * re.denominator
+                ):
                     raise CheckFailed(f"slope off at {v}")
     return "rank-0 slopes are point-independent"
 
 
 def check_stability_wall_monotone(max_g, max_k):
+    pencils = [lattice.line_bundle_vector(e) for e in range(1, 7)]
     for params in _surfaces(min(max_g, 6), min(max_k, 4)):
         for s in (-1, -2, -3):
             v = lattice.MukaiVector(0, 1, 0, s)
             sp = stability.StabilityParams(params, stability.default_epsilon(params, v) / 2)
-            ws = [stability.wall_on_axis(sp, v, lattice.line_bundle_vector(e)).w for e in range(1, 7)]
+            ws = [stability.wall_on_axis(sp, v, u).w for u in pencils]
             if any(a >= b for a, b in zip(ws, ws[1:])):
                 raise CheckFailed(f"walls not increasing in e at {params}, s={s}")
     return "pencil walls increase with e"
@@ -161,6 +199,20 @@ def _vector_for(g, d):
     return lattice.MukaiVector(0, 1, 0, 1 + d - g)
 
 
+def _placed(instances):
+    """(g, k, d, r, SurfaceParams(g, k), _vector_for(g, d)) for each (g, k, d, r) of instances.
+
+    Each surface and each vector is built once, at its first instance.
+    """
+    surfaces, vectors = {}, {}
+    for g, k, d, r in instances:
+        if (params := surfaces.get((g, k))) is None:
+            params = surfaces[g, k] = lattice.SurfaceParams(g, k)
+        if (v := vectors.get((g, d))) is None:
+            v = vectors[g, d] = _vector_for(g, d)
+        yield g, k, d, r, params, v
+
+
 def _balanced_types(ranks):
     """r -> [(ell, balanced_type(r, ell)) for 0 <= ell <= r], for r in ranks."""
     return {r: [(ell, strata.balanced_type(r, ell)) for ell in range(r + 1)] for r in ranks}
@@ -168,8 +220,7 @@ def _balanced_types(ranks):
 
 def check_strata_dimension_identity(max_g, max_k):
     balanced = _balanced_types(range(7))
-    for g, k, d, r in _grid(max_g, max_k, range(7), d_from=0):
-        params, v = lattice.SurfaceParams(g, k), _vector_for(g, d)
+    for g, k, d, r, params, v in _placed(_grid(max_g, max_k, range(7), d_from=0)):
         for ell, t in balanced[r][max(0, r + 1 - k):]:
             got = strata.stratum_dimension(params, v, t)
             want = g + hbn.rho(g, r - ell, d) - ell * k
@@ -188,8 +239,7 @@ def check_strata_dimension_bounds(max_g, max_k):
             saturated, others = by_ell.setdefault(strata.ell_value(t, r), ([], []))
             (saturated if t.weighted_sections() == r + 1 else others).append(t)
         groups.append([(ell, sat + others, len(sat)) for ell, (sat, others) in sorted(by_ell.items())])
-    for g, k, d, r in _grid(min(max_g, 9), min(max_k, 5), range(5)):
-        params, v = lattice.SurfaceParams(g, k), _vector_for(g, d)
+    for g, k, d, r, params, v in _placed(_grid(min(max_g, 9), min(max_k, 5), range(5))):
         enumerated = []
         for ell, types, n_saturated in groups[r]:
             bound = g + hbn.rho(g, r - ell, d) - ell * k
@@ -225,9 +275,8 @@ def check_strata_nonexistence(max_g, max_k):
     # for nonnegative rho_k, the largest stratum_dimension - g over the balanced types
     # of v whose verdict is NON_EMPTY is rho_k, reached at rho_k's maximizers.
     balanced = _balanced_types(range(4))
-    for g, k, d, r in _grid(min(max_g, 8), min(max_k, 5), range(4), d_from=0):
+    for g, k, d, r, params, v in _placed(_grid(min(max_g, 8), min(max_k, 5), range(4), d_from=0)):
         value, argmax = hbn.rho_k(g, k, r, d)
-        params, v = lattice.SurfaceParams(g, k), _vector_for(g, d)
         if value >= 0:
             reached = {
                 ell: strata.stratum_dimension(params, v, t) - g
@@ -252,17 +301,21 @@ def check_strata_nonexistence(max_g, max_k):
 
 def check_strata_square_filter(max_g, max_k):
     types = [strata.enumerate_types(r).items for r in range(4)]
-    for g, k, d, r in _grid(min(max_g, 8), min(max_k, 5), range(4)):
-        params, v = lattice.SurfaceParams(g, k), _vector_for(g, d)
-        for t in types[r]:
+    empty = strata.Verdict.EMPTY_BY_NECESSITY
+    residuals = {}  # (g, d, r) -> [(t, residual vector of v and t)], which k does not change
+    for g, k, d, r, params, v in _placed(_grid(min(max_g, 8), min(max_k, 5), range(4))):
+        if (typed := residuals.get((g, d, r))) is None:
+            typed = residuals[g, d, r] = [
+                (t, lattice.MukaiVector(v.r - t.sum_m, v.x, v.y - t.sum_me, v.s - t.sum_m))
+                for t in types[r]
+            ]
+        for t, residual in typed:
             kept = strata.passes_square_filter(params, v, t)
-            residual = lattice.MukaiVector(v.r - t.sum_m, v.x, v.y - t.sum_me, v.s - t.sum_m)
             if kept != (lattice.square(params, residual) >= -2):
                 raise CheckFailed(
                     f"filter/square mismatch for {t.to_list()} at ({g},{k},{d},{r})"
                 )
-            verdict = strata.type_verdict(params, v, t)
-            if kept == (verdict is strata.Verdict.EMPTY_BY_NECESSITY):
+            if kept == (strata.type_verdict(params, v, t) is empty):
                 raise CheckFailed(
                     f"filter/verdict mismatch for {t.to_list()} at ({g},{k},{d},{r})"
                 )
@@ -351,12 +404,40 @@ def check_hbn_splitting_correspondence(max_g, max_k):
 
 # ---------------------------------------------------------------- tableaux
 
+def _per_box(search):
+    """search as a function of (g, k, r, d) that searches no box past its first feasible instance.
+
+    A box is (k, r+1, g-d+r): the grid of a tableau and the residues of its
+    cells depend on the box alone, and g bounds only the labels.  So once a
+    box has a valid tableau at g0, each larger g omits g - g0 labels more
+    with the same witness (test_tableaux.py::test_g_shift_on_the_10_5_grid).
+    The function searches a box's instances until one is feasible and
+    shifts that result for the later ones; grid order visits a box's
+    instances by ascending g.
+    """
+    first = {}  # box -> (g, result) at its first feasible instance
+
+    def result(g, k, r, d):
+        box = (k, r, g - d + r)
+        if box in first:
+            g0, found = first[box]
+            return tableaux.SearchResult(True, found.omitted + g - g0, found.witness, 0)
+        found = search(g, k, r, d)
+        if found.feasible:
+            first[box] = (g, found)
+        return found
+
+    return result
+
+
 def check_tableaux_pruning(max_g, max_k):
+    # the pruned search runs at every instance, the reference as the oracle check's search does
+    reference = _per_box(tableaux.max_omitted_naive)
     for g, k, d, r in _grid(min(max_g, 7), min(max_k, 4), range(3)):
         if (r + 1) * (g - d + r) > 9:
             continue
         fast = tableaux.max_omitted(g, k, r, d)
-        slow = tableaux.max_omitted_naive(g, k, r, d)
+        slow = reference(g, k, r, d)
         # both keep the first maximizer in row-major label order
         got = (fast.feasible, fast.omitted, fast.witness)
         if got != (slow.feasible, slow.omitted, slow.witness):
@@ -365,8 +446,11 @@ def check_tableaux_pruning(max_g, max_k):
 
 
 def check_tableaux_oracle(max_g, max_k):
+    # each box is searched until it is feasible; rho_k is read and checked at every instance
+    search = _per_box(tableaux.max_omitted)
     for g, k, d, r in _grid(min(max_g, 8), min(max_k, 5), range(4), d_from=0):
-        report = tableaux.oracle_check(g, k, r, d)  # raises on hard violations
+        result = search(g, k, r, d)
+        report = tableaux.oracle_check(g, k, r, d, result=result)  # raises on hard violations
         if report.rho_k >= 0 and not report.equality:
             raise CheckFailed(
                 f"omitted {report.omitted} != rho_k {report.rho_k} at ({g},{k},{r},{d})"
@@ -413,11 +497,11 @@ def check_chains_telescoping(max_g, max_k):
 
 
 def check_chains_complement(max_g, max_k):
-    rng = random.Random(20240805)
+    randint = _draws(20240805)
     for _ in range(300):
-        r = rng.randint(0, 6)
-        d = rng.randint(r, r + 12)
-        alphas = sorted(rng.randint(0, d - r) for _ in range(r + 1))
+        r = randint(0, 6)
+        d = randint(r, r + 12)
+        alphas = sorted(randint(0, d - r) for _ in range(r + 1))
         seq = chains.RamificationSequence(tuple(alphas))
         twice = chains.complement(r, d, chains.complement(r, d, seq))
         if twice != seq:
@@ -518,7 +602,7 @@ def _run(selected: list, max_g: int, max_k: int, processes: int) -> list[CheckRe
 
 #: The largest grid run_checks takes; the acceptance tests run a check at
 #: (40, 12), the largest range any caller sets.  Serially, on Python 3.11.7,
-#: "all" took 1.8 s at (40, 12), best of 3 on 2 CPUs at load average 0.8.
+#: "all" took 1.3 s at (40, 12), best of 3 on 2 CPUs at load average 0.7.
 MAX_GRID_G = 40
 MAX_GRID_K = 12
 

@@ -7,8 +7,8 @@ rho_k then run through verify._guarded at (8, 5), in order, until one fails.
 Every mutant must make one of them fail.
 
 Also what the oracle independent of rho_k covers: the instances at which the
-tableau search asserts its maximum equals rho_k, and that the search answers
-without rho_k.
+tableau search asserts its maximum equals rho_k, searched or shifted by g from
+a search of the same box, and that the search answers without rho_k.
 """
 
 import sys
@@ -70,14 +70,21 @@ def test_every_rho_k_mutant_is_caught(monkeypatch):
 
 
 def test_search_coverage_pinned(monkeypatch):
-    # the instances at which check_tableaux_oracle asserts omitted == rho_k, and at
-    # which check_strata_nonexistence reads rho_k >= 0 and so takes its existence branch
-    real_search, searched = tableaux.oracle_check, set()
+    # the instances at which check_tableaux_oracle asserts omitted == rho_k: each is
+    # searched, or shifted from a searched feasible instance of its box (k, r+1, g-d+r)
+    # at a smaller g (test_tableaux.py::test_g_shift_on_the_10_5_grid); and those at
+    # which check_strata_nonexistence reads rho_k >= 0, and so takes its existence branch
+    real_search, searched = tableaux.max_omitted, {}
+    real_check, checked = tableaux.oracle_check, set()
     real_rho_k, existence = hbn.rho_k, set()
 
     def search_spy(g, k, r, d):
-        searched.add((g, k, r, d))
-        return real_search(g, k, r, d)
+        searched[g, k, r, d] = real_search(g, k, r, d)
+        return searched[g, k, r, d]
+
+    def check_spy(g, k, r, d, result):
+        checked.add((g, k, r, d))
+        return real_check(g, k, r, d, result=result)
 
     def rho_k_spy(g, k, r, d):
         value, argmax = real_rho_k(g, k, r, d)
@@ -85,14 +92,27 @@ def test_search_coverage_pinned(monkeypatch):
             existence.add((g, k, r, d))
         return value, argmax
 
-    monkeypatch.setattr(tableaux, "oracle_check", search_spy)
+    monkeypatch.setattr(tableaux, "max_omitted", search_spy)
+    monkeypatch.setattr(tableaux, "oracle_check", check_spy)
     verify.check_tableaux_oracle(8, 5)
     monkeypatch.setattr(hbn, "rho_k", rho_k_spy)
     verify.check_strata_nonexistence(8, 5)
     monkeypatch.undo()
+    feasible_at = {}  # box -> the least g at which it was searched and found feasible
+    for (g, k, r, d), result in searched.items():
+        if result.feasible:
+            box = (k, r, g - d + r)
+            feasible_at[box] = min(g, feasible_at.get(box, g))
+    shifted = [
+        (g, k, r, d)
+        for g, k, r, d in checked - set(searched)
+        if feasible_at.get((k, r, g - d + r), g) < g
+    ]
     instances = _instances()
     assert len(instances) == 205
-    assert [instance for instance in instances if instance not in searched] == []
+    assert [instance for instance in instances if instance not in checked] == []
+    assert len(checked) == len(searched) + len(shifted) == 528
+    assert (len(searched), len(shifted)) == (382, 146)
     assert existence == set(instances)
 
 

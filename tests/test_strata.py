@@ -411,8 +411,8 @@ def test_residual_square_meaning():
 
 
 def test_square_filter_check_catches_a_moved_threshold(monkeypatch):
-    # the verdict reads the filter, so the check also compares the filter
-    # with the square of the residual MukaiVector
+    # the check compares the filter with the square of the residual MukaiVector,
+    # and with the verdict, which reads the residual square itself
     def moved(params, v, t):
         return strata._residual_square(params, v, t.sum_m, t.sum_me) >= 0
 

@@ -1,8 +1,8 @@
 import pytest
 
-from k3walls import tableaux
+from k3walls import tableaux, verify
 from k3walls.errors import DomainError, OracleViolation, SearchBudgetExceeded
-from k3walls.tableaux import Tableau, is_valid, max_omitted, max_omitted_naive, oracle_check
+from k3walls.tableaux import SearchResult, Tableau, is_valid, max_omitted, max_omitted_naive, oracle_check
 
 
 def test_is_valid_examples():
@@ -102,6 +102,46 @@ def test_oracle_check_violations(monkeypatch, inst, message):
     monkeypatch.setattr(tableaux, "rho_k", lambda g, k, r, d: (0, [0]))
     with pytest.raises(OracleViolation, match=message):
         oracle_check(*inst)
+
+
+def test_oracle_check_takes_a_given_result(monkeypatch):
+    # the search is not run, and the result given meets the same rules a search's would
+    def no_search(*args, **kwargs):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(tableaux, "max_omitted", no_search)
+    rep = oracle_check(5, 2, 1, 3, result=SearchResult(True, 1, None, 0))
+    assert rep.equality and rep.omitted == rep.rho_k == 1
+    with pytest.raises(OracleViolation, match="omitted 2 exceeds rho_k 1 at"):
+        oracle_check(5, 2, 1, 3, result=SearchResult(True, 2, None, 0))
+    with pytest.raises(OracleViolation, match="no valid tableau but rho_k 1 >= 0 at"):
+        oracle_check(5, 2, 1, 3, result=SearchResult(False, None, None, 0))
+
+
+def test_g_shift_on_the_10_5_grid():
+    # A box (k, r+1, g-d+r) fixes the grid and the residues of its cells, and g bounds
+    # only the labels.  So past a box's first feasible g0 in grid order, every search of
+    # the box is feasible, omits g - g0 labels more and keeps the witness; and
+    # verify._per_box, which searches no instance past g0, gives the search's results.
+    first, shifted = {}, 0
+    per_box = verify._per_box(max_omitted)
+    for g, k, d, r in verify._grid(10, 5, range(4), d_from=0):
+        res = max_omitted(g, k, r, d)
+        box = (k, r, g - d + r)
+        if box in first:
+            g0, found = first[box]
+            assert (res.feasible, res.omitted, res.witness) == (
+                True, found.omitted + g - g0, found.witness
+            ), (g, k, r, d)
+            shifted += 1
+        elif res.feasible:
+            first[box] = (g, res)
+        shared = per_box(g, k, r, d)
+        assert (shared.feasible, shared.omitted, shared.witness) == (
+            res.feasible, res.omitted, res.witness
+        ), (g, k, r, d)
+    # 832 instances: 556 searched, the first feasible instance of each of 84 boxes among them
+    assert (len(first), shifted) == (84, 276)
 
 
 def test_oracle_check_witness_valid():

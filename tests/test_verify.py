@@ -1,17 +1,19 @@
 """verify.run_checks across forked workers: the same results as one after another.
 
 Also the work of the grid checks: the instances each draws from verify._grid,
-and the kernel calls of a full run.
+the kernel calls of a full run and the searches of the tableau checks; and
+the draws of the random checks.
 """
 
 import os
+import random
 import select
 import subprocess
 import sys
 
 import pytest
 
-from k3walls import chains, cli, hbn, lattice, strata, verify
+from k3walls import chains, cli, hbn, lattice, strata, tableaux, verify
 from k3walls.verify import CheckResult, run_checks
 
 PACKAGE_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -238,3 +240,49 @@ def test_kernel_work_of_a_full_run(monkeypatch):
     assert {key: len(made) for key, made in calls.items()} == {
         key: count for key, (_, _, count) in kernels.items()
     }
+
+
+@pytest.mark.parametrize(
+    "check, search, searches, nodes",
+    [
+        # of 528 instances; searching each takes 9,494 nodes
+        (verify.check_tableaux_oracle, "max_omitted", 382, 2_589),
+        # of 117 instances with at most 9 cells; searching each takes 11,811 nodes
+        (verify.check_tableaux_pruning, "max_omitted_naive", 54, 3_513),
+    ],
+)
+def test_tableau_checks_search_once_per_box(monkeypatch, check, search, searches, nodes):
+    # a box's instances are searched up to its first feasible one, and shifted by g after
+    real, results = getattr(tableaux, search), []
+
+    def recording(g, k, r, d):
+        results.append(real(g, k, r, d))
+        return results[-1]
+
+    monkeypatch.setattr(tableaux, search, recording)
+    check(8, 5)
+    assert len(results) == searches
+    assert sum(res.nodes for res in results) == nodes
+
+
+def test_draws_are_randint_draws(monkeypatch):
+    # every draw the random checks make at (8, 5), replayed through random.Random.randint
+    real, draws = verify._draws, []
+
+    def recording(seed):
+        randint = real(seed)
+
+        def recorded(low, high):
+            draws.append((seed, low, high, randint(low, high)))
+            return draws[-1][-1]
+
+        return recorded
+
+    monkeypatch.setattr(verify, "_draws", recording)
+    assert all(res.ok for res in run_checks("all", 8, 5))
+    generators = {seed: random.Random(seed) for seed, *_ in draws}
+    assert sorted(generators) == [20240801, 20240802, 20240803, 20240804, 20240805]
+    assert len(draws) == 12_101
+    assert [value for *_, value in draws] == [
+        generators[seed].randint(low, high) for seed, low, high, _ in draws
+    ]
