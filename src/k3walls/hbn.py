@@ -1,9 +1,9 @@
 """Classical and pencil-adapted Brill-Noether numerics.
 
-Covers the expected-dimension counts: rho, its gonality-adjusted maximum
-rho_k, the decomposition of an index ell into balanced multiplicities, the
-degeneracy-locus dimension bookkeeping, section counts of pencil powers, and
-splitting types of pushforwards to the projective line.
+Covers the expected-dimension counts: rho, the component counts c_ell and
+their maximum rho_k, the decomposition of an index ell into balanced
+multiplicities, the degeneracy-locus dimension bookkeeping, section counts of
+pencil powers, and splitting types of pushforwards to the projective line.
 """
 
 from __future__ import annotations
@@ -20,8 +20,14 @@ def rho(g: int, r: int, d: int) -> int:
     return g - (r + 1) * (g - d + r)
 
 
+def component_dim(g: int, k: int, r: int, d: int, ell: int) -> int:
+    """c_ell = rho(g, r-ell, d) - ell*k: on a general k-gonal curve, W^r_d has a
+    component of dimension c_ell for each ell with c_ell >= 0 (Coppens-Martens)."""
+    return rho(g, r - ell, d) - ell * k
+
+
 def rho_k(g: int, k: int, r: int, d: int) -> tuple[int, list[int]]:
-    """max over 0 <= ell <= r of rho(g, r-ell, d) - ell*k, with all maximizers.
+    """max over 0 <= ell <= r of component_dim(g, k, r, d, ell), with all maximizers.
 
     With A = r+1 and B = g-d+r the objective is g - (A-ell)(B-ell) - ell*k,
     a strictly concave quadratic in ell with vertex (A+B-k)/2.  So the
@@ -36,7 +42,7 @@ def rho_k(g: int, k: int, r: int, d: int) -> tuple[int, list[int]]:
     twice_vertex = (r + 1) + (g - d + r) - k
     half = twice_vertex // 2
     lo, hi = min(max(half, 0), r), min(max(twice_vertex - half, 0), r)  # floor, ceiling
-    return rho(g, r - lo, d) - lo * k, [lo] if lo == hi else [lo, hi]
+    return component_dim(g, k, r, d, lo), [lo] if lo == hi else [lo, hi]
 
 
 @value_class
@@ -76,8 +82,8 @@ class DegeneracyDims:
 def degeneracy_dims(g: int, k: int, d: int, r: int, ell: int) -> DegeneracyDims:
     """Ranks and expected dimension of the degeneracy-locus model.
 
-    The result is cross-checked against the closed form rho(g, r-ell, d) - ell*k;
-    a mismatch would be an implementation bug and raises OracleViolation.
+    The result is cross-checked against component_dim(g, k, r, d, ell); a
+    mismatch would be an implementation bug and raises OracleViolation.
     """
     if d > g - 1:
         raise DomainError(f"need d <= g-1, got d={d}, g={g}", code="degree_out_of_range")
@@ -91,7 +97,7 @@ def degeneracy_dims(g: int, k: int, d: int, r: int, ell: int) -> DegeneracyDims:
     rk_e = g + m1 - 1 + (e + 1) * k - d
     rk_f = g + (e + 2) * k - d - 1
     expected = rho(g, m1 - 1, d - (e + 1) * k) - s * (rk_f - 2 * rk_e + s)
-    closed_form = rho(g, r - ell, d) - ell * k
+    closed_form = component_dim(g, k, r, d, ell)
     if expected != closed_form:
         raise OracleViolation(
             f"degeneracy dimension {expected} != {closed_form} "

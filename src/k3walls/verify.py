@@ -221,9 +221,9 @@ def _balanced_types(ranks):
 def check_strata_dimension_identity(max_g, max_k):
     balanced = _balanced_types(range(7))
     for g, k, d, r, params, v in _placed(_grid(max_g, max_k, range(7), d_from=0)):
-        for ell, t in balanced[r][max(0, r + 1 - k):]:
+        for ell, t in balanced[r]:
             got = strata.stratum_dimension(params, v, t)
-            want = g + hbn.rho(g, r - ell, d) - ell * k
+            want = g + hbn.component_dim(g, k, r, d, ell)
             if got != want:
                 raise CheckFailed(f"{got} != {want} at (g,k,d,r,ell)=({g},{k},{d},{r},{ell})")
     return "balanced dimension identity exact"
@@ -242,7 +242,7 @@ def check_strata_dimension_bounds(max_g, max_k):
     for g, k, d, r, params, v in _placed(_grid(min(max_g, 9), min(max_k, 5), range(5))):
         enumerated = []
         for ell, types, n_saturated in groups[r]:
-            bound = g + hbn.rho(g, r - ell, d) - ell * k
+            bound = g + hbn.component_dim(g, k, r, d, ell)
             dims = [strata.stratum_dimension(params, v, t) for t in types]
             least, largest = min(dims), max(dims)
             if largest > bound:
@@ -269,33 +269,27 @@ def check_strata_dimension_bounds(max_g, max_k):
 
 
 def check_strata_nonexistence(max_g, max_k):
-    # non-existence: negative rho_k excludes every type.  A type's count
-    # rho(g, r-ell, d) - ell*k depends on its ell alone, and balanced_type(r, ell) is a
-    # type for each ell in 0..r, so the balanced types stand for every type.  Existence:
-    # for nonnegative rho_k, the largest stratum_dimension - g over the balanced types
-    # of v whose verdict is NON_EMPTY is rho_k, reached at rho_k's maximizers.
+    # balanced_type(r, ell) has count c_ell = component_dim(g, k, r, d, ell); its verdict
+    # reads c_ell's sign: EMPTY_BY_NECESSITY iff c_ell < 0, and for ell >= r+2-k NON_EMPTY iff
+    # c_ell >= 0 (given the first, iff not UNKNOWN), so negative rho_k excludes every type.
+    # Existence: the NON_EMPTY ones reach stratum_dimension - g = rho_k at its maximizers.
     balanced = _balanced_types(range(4))
+    empty, unknown = strata.Verdict.EMPTY_BY_NECESSITY, strata.Verdict.UNKNOWN
     for g, k, d, r, params, v in _placed(_grid(min(max_g, 8), min(max_k, 5), range(4), d_from=0)):
-        value, argmax = hbn.rho_k(g, k, r, d)
-        if value >= 0:
-            reached = {
-                ell: strata.stratum_dimension(params, v, t) - g
-                for ell, t in balanced[r]
-                if strata.type_verdict(params, v, t) is strata.Verdict.NON_EMPTY
-            }
-            best = max(reached.values(), default=None)
-            if best != value or [ell for ell, dim in reached.items() if dim == best] != argmax:
-                raise CheckFailed(
-                    f"non-empty balanced types reach {best}, not rho_k {value}, at ({g},{k},{d},{r})"
-                )
-            continue
+        reached = {}  # ell -> stratum_dimension - g of its balanced type, if that is NON_EMPTY
         for ell, t in balanced[r]:
-            if hbn.rho(g, r - ell, d) - ell * k >= 0:
-                raise CheckFailed(f"type {t.to_list()} has nonneg count at ({g},{k},{d},{r})")
-            if strata.type_verdict(params, v, t) is not strata.Verdict.EMPTY_BY_NECESSITY:
-                raise CheckFailed(
-                    f"balanced type {t.to_list()} not excluded at ({g},{k},{d},{r})"
-                )
+            count, verdict = hbn.component_dim(g, k, r, d, ell), strata.type_verdict(params, v, t)
+            if (verdict is empty) != (count < 0) or (ell >= r + 2 - k and verdict is unknown):
+                raise CheckFailed(f"{t.to_list()} {verdict.value} at count {count}, ({g},{k},{d},{r})")
+            if verdict is strata.Verdict.NON_EMPTY:
+                reached[ell] = strata.stratum_dimension(params, v, t) - g
+        value, argmax = hbn.rho_k(g, k, r, d)
+        best = max(reached.values(), default=None)
+        peaks = [ell for ell, dim in reached.items() if dim == best]
+        if (best, peaks) != ((value, argmax) if value >= 0 else (None, [])):
+            raise CheckFailed(
+                f"non-empty balanced types reach {best}, not rho_k {value}, at ({g},{k},{d},{r})"
+            )
     return "negative rho_k excludes every type"
 
 
@@ -367,7 +361,7 @@ def check_hbn_degeneracy_identity(max_g, max_k):
     for g, k, d, r in _grid(max_g, max_k, range(7), d_from=0):
         for ell, dec in decompositions[r][max(0, r + 2 - k):]:
             hbn.degeneracy_dims(g, k, d, r, ell)  # raises when its dimension is off
-            count = hbn.rho(g, r - ell, d) - ell * k
+            count = hbn.component_dim(g, k, r, d, ell)
             # the reduction to rank m1 - 1 and degree d - (e+1)k
             e, m1 = dec.e, dec.m1
             lhs = hbn.rho(g, m1 - 1, d - (e + 1) * k)
@@ -602,7 +596,7 @@ def _run(selected: list, max_g: int, max_k: int, processes: int) -> list[CheckRe
 
 #: The largest grid run_checks takes; the acceptance tests run a check at
 #: (40, 12), the largest range any caller sets.  Serially, on Python 3.11.7,
-#: "all" took 1.3 s at (40, 12), best of 3 on 2 CPUs at load average 0.7.
+#: "all" took 1.4 s at (40, 12), best of 5 on 2 CPUs at load average 0.4.
 MAX_GRID_G = 40
 MAX_GRID_K = 12
 

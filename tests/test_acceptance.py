@@ -16,7 +16,7 @@ from fractions import Fraction
 import k3walls
 from k3walls import tableaux, verify
 from k3walls.chains import build_chain
-from k3walls.hbn import rho
+from k3walls.hbn import component_dim
 from k3walls.lattice import MukaiVector, SurfaceParams, line_bundle_vector
 from k3walls.stability import (
     StabilityParams,
@@ -74,7 +74,8 @@ def test_criterion_1_tableaux_formula_agreement(monkeypatch):
 @criterion(2, "stratum dimension identity")
 def test_criterion_2_stratum_dimension_identity():
     start = time.monotonic()
-    # g <= 30, k <= 10, 0 <= d < g, r <= 6, every ell with a balanced type
+    # g <= 30, k <= 10, 0 <= d < g, r <= 6, every 0 <= ell <= r: the balanced type
+    # of (r, ell) has stratum_dimension g + component_dim(g, k, r, d, ell)
     verify.check_strata_dimension_identity(30, 10)
     elapsed = time.monotonic() - start
     assert elapsed < 10, f"dimension sweep took {elapsed:.1f}s"
@@ -83,17 +84,18 @@ def test_criterion_2_stratum_dimension_identity():
 @criterion(3, "degeneracy-locus identities")
 def test_criterion_3_degeneracy_identities():
     # g <= 40, k <= 12, 0 <= d < g, r <= 6, max(0, r+2-k) <= ell <= r: the
-    # degeneracy-locus dimension equals rho(g, r-ell, d) - ell*k, and so does
+    # degeneracy-locus dimension equals component_dim(g, k, r, d, ell), and so does
     # its reduction to rank m1 - 1 up to the explicit correction term
     verify.check_hbn_degeneracy_identity(40, 12)
 
 
 @criterion(4, "non-existence consistency")
 def test_criterion_4_nonexistence_consistency():
-    # g <= 8, k <= 5, 0 <= d < g, r <= 3: wherever rho_k < 0, every type has a
-    # negative count and every enumerated balanced type is empty by necessity;
-    # wherever rho_k >= 0, the non-empty balanced types reach dimension g + rho_k,
-    # at exactly rho_k's maximizing ells
+    # g <= 8, k <= 5, 0 <= d < g, r <= 3, every 0 <= ell <= r: the balanced type of
+    # (r, ell) is empty by necessity iff c_ell = component_dim(g, k, r, d, ell) < 0,
+    # and, for ell >= r+2-k, non-empty iff c_ell >= 0; wherever rho_k >= 0, the
+    # non-empty balanced types reach dimension g + rho_k, at exactly rho_k's
+    # maximizing ells
     verify.check_strata_nonexistence(8, 5)
 
 
@@ -180,9 +182,13 @@ GOLDEN_COMMANDS = {
     "types_filtered.json": [
         "types", "--g", "6", "--k", "2", "--v", "0,1,0,0", "--r", "2", "--square-filter",
     ],
+    "verify_3_2.json": ["verify", "--suite", "all", "--max-g", "3", "--max-k", "2"],
     "verify.json": ["verify", "--suite", "all", "--max-g", "5", "--max-k", "3"],
     # the grid the benchmark runs, through the forked workers of python -m k3walls
     "verify_8_5.json": ["verify", "--suite", "all", "--max-g", "8", "--max-k", "5"],
+    # above the grids where some checks clamp (strata.nonexistence stops at (8, 5)),
+    # so strata.dimension_identity runs at every (g, k) here
+    "verify_12_7.json": ["verify", "--suite", "all", "--max-g", "12", "--max-k", "7"],
 }
 
 GOLDEN_PLOTS = {
@@ -224,7 +230,7 @@ def test_criterion_9_golden_files(tmp_path):
     for name in names:
         assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), f"{name} differs"
     # sanity on the golden payloads themselves
-    for name in ("verify.json", "verify_8_5.json"):
+    for name in ("verify_3_2.json", "verify.json", "verify_8_5.json", "verify_12_7.json"):
         doc = json.loads((GOLDEN / name).read_text())
         assert doc["result"]["failed"] == 0
     doc = json.loads((GOLDEN / "rho_k.json").read_text())
@@ -239,7 +245,7 @@ def test_criterion_9_golden_files(tmp_path):
 def test_criterion_10_dimension_bound_dp():
     start = time.monotonic()
     # r <= 20, plain and refined types, on four (g, k, d) with v = (0, H, 1+d-g):
-    # every ell has types, none exceeds g + rho(g, r-ell, d) - ell*k, and the
+    # every ell has types, none exceeds g + component_dim(g, k, r, d, ell), and the
     # saturated ones reach it.  Enumeration cannot get here: r = 10 already
     # has 353,657 types.
     for g, k, d in ((9, 4, 5), (12, 3, 7), (20, 5, 14), (6, 2, 1)):
@@ -250,7 +256,7 @@ def test_criterion_10_dimension_bound_dp():
                 extremes = dimension_extremes(params, v, r, refined)
                 assert [ext.ell for ext in extremes] == list(range(r + 1))
                 for ext in extremes:
-                    bound = g + rho(g, r - ext.ell, d) - ext.ell * k
+                    bound = g + component_dim(g, k, r, d, ext.ell)
                     assert ext.largest <= bound, (g, k, d, r, refined, ext)
                     assert ext.saturated == bound, (g, k, d, r, refined, ext)
     elapsed = time.monotonic() - start

@@ -6,6 +6,7 @@ from k3walls.errors import DomainError
 from k3walls.hbn import (
     SplittingType,
     balanced_correspondence,
+    component_dim,
     degeneracy_dims,
     ell_decompose,
     rho,
@@ -24,6 +25,14 @@ def test_rho_rank_zero(g, d):
     assert rho(g, 0, d) == d
 
 
+def test_component_dim_values():
+    # c_ell = rho(g, r-ell, d) - ell*k for ell = 0..r, worked by hand
+    assert [component_dim(5, 2, 1, 3, ell) for ell in range(2)] == [-1, 1]
+    assert [component_dim(7, 2, 2, 6, ell) for ell in range(3)] == [-2, 1, 2]
+    assert [component_dim(10, 4, 3, 7, ell) for ell in range(4)] == [-14, -9, -6, -5]
+    assert component_dim(7, 10**6, 2, 5, 0) == rho(7, 2, 5)
+
+
 def test_rho_k_values():
     assert rho_k(5, 2, 1, 3) == (1, [1])
     assert rho_k(2, 2, 1, 1) == (-1, [1])
@@ -33,8 +42,8 @@ def test_rho_k_values():
 
 
 def rho_k_by_list(g, k, r, d):
-    """rho_k over the list of all r+1 values: the reference for the two-point rho_k."""
-    values = [rho(g, r - ell, d) - ell * k for ell in range(r + 1)]
+    """Max of component_dim over all r+1 values of ell: the reference for the two-point rho_k."""
+    values = [component_dim(g, k, r, d, ell) for ell in range(r + 1)]
     best = max(values)
     return best, [ell for ell, v in enumerate(values) if v == best]
 

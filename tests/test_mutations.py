@@ -1,10 +1,12 @@
-"""A standing mutation gate for the closed form rho_k.
+"""A standing mutation gate for the closed forms rho_k and component_dim.
 
-Each mutant is hbn.rho_k off by +1 or -1 at one instance with rho_k >= 0 on
-the grid g 3..8, k 2..5, r 0..3, 0 <= d < g, and exact everywhere else.  It
-is patched into every k3walls module that binds rho_k; the checks that read
-rho_k then run through verify._guarded at (8, 5), in order, until one fails.
-Every mutant must make one of them fail.
+Each rho_k mutant is hbn.rho_k off by +1 or -1 at one instance with rho_k >= 0
+on the grid g 3..8, k 2..5, r 0..3, 0 <= d < g, and exact everywhere else.
+Each component_dim mutant is hbn.component_dim off by +1 or -1 at one
+(instance, ell) of that grid.  A mutant is patched into every k3walls module
+that binds the function; the checks that read it then run through
+verify._guarded at (8, 5), in order, until one fails.  Every mutant must make
+one of them fail.
 
 Also what the oracle independent of rho_k covers: the instances at which the
 tableau search asserts its maximum equals rho_k, searched or shifted by g from
@@ -19,6 +21,18 @@ READERS = (
     verify.check_hbn_rho_k_dominates,
     verify.check_hbn_rho_k_monotone,
     verify.check_strata_nonexistence,
+    verify.check_tableaux_oracle,
+)
+
+
+# the checks that read component_dim, directly or through rho_k and degeneracy_dims
+COMPONENT_READERS = (
+    verify.check_strata_dimension_identity,
+    verify.check_strata_dimension_bounds,
+    verify.check_strata_nonexistence,
+    verify.check_hbn_rho_k_dominates,
+    verify.check_hbn_rho_k_monotone,
+    verify.check_hbn_degeneracy_identity,
     verify.check_tableaux_oracle,
 )
 
@@ -40,18 +54,42 @@ def _bind(monkeypatch, real, replacement):
                     monkeypatch.setattr(mod, attr, replacement)
 
 
-def _caught(monkeypatch, instance, delta) -> bool:
+def _caught(monkeypatch, real, mutant, checks) -> bool:
+    """Whether one of checks fails at (8, 5) with mutant bound wherever real is."""
+    _bind(monkeypatch, real, mutant)
+    try:
+        return any(not verify._guarded(check, 8, 5).ok for check in checks)
+    finally:
+        monkeypatch.undo()
+
+
+def _rho_k_mutant(instance, delta):
     real = hbn.rho_k
 
     def mutant(g, k, r, d):
         value, argmax = real(g, k, r, d)
         return (value + delta if (g, k, r, d) == instance else value), argmax
 
-    _bind(monkeypatch, real, mutant)
-    try:
-        return any(not verify._guarded(check, 8, 5).ok for check in READERS)
-    finally:
-        monkeypatch.undo()
+    return mutant
+
+
+def _component_mutant(pair, delta):
+    real = hbn.component_dim
+
+    def mutant(g, k, r, d, ell):
+        count = real(g, k, r, d, ell)
+        return count + delta if (g, k, r, d, ell) == pair else count
+
+    return mutant
+
+
+def _pairs():
+    """(g, k, r, d, ell) for 0 <= ell <= r at each instance of the (8, 5) grid of ranks 0..3."""
+    return [
+        (g, k, r, d, ell)
+        for g, k, d, r in verify._grid(8, 5, range(4), d_from=0)
+        for ell in range(r + 1)
+    ]
 
 
 def test_every_rho_k_mutant_is_caught(monkeypatch):
@@ -62,10 +100,55 @@ def test_every_rho_k_mutant_is_caught(monkeypatch):
         (instance, delta)
         for instance in instances
         for delta in (1, -1)
-        if not _caught(monkeypatch, instance, delta)
+        if not _caught(monkeypatch, hbn.rho_k, _rho_k_mutant(instance, delta), READERS)
     ]
     caught = 2 * len(instances) - len(survivors)
     print(f"rho_k mutants caught: {caught} of {2 * len(instances)}")
+    assert survivors == []
+
+
+def test_sign_flipping_component_mutants_fail_nonexistence(monkeypatch):
+    # a mutant that moves c_ell across 0 contradicts the verdict of balanced_type(r, ell)
+    pairs = _pairs()
+    assert len(pairs) == 1320
+    flips = [
+        (pair, delta)
+        for pair in pairs
+        for delta in (1, -1)
+        if (hbn.component_dim(*pair) < 0) != (hbn.component_dim(*pair) + delta < 0)
+    ]
+    assert len(flips) == 123
+    survivors = [
+        (pair, delta)
+        for pair, delta in flips
+        if not _caught(
+            monkeypatch, hbn.component_dim, _component_mutant(pair, delta),
+            [verify.check_strata_nonexistence],
+        )
+    ]
+    assert survivors == []
+
+
+def test_component_mutants_off_the_maximum_are_caught(monkeypatch):
+    assert all(verify._guarded(check, 8, 5).ok for check in COMPONENT_READERS)
+    pairs = _pairs()
+    # the components below the maximum: c_ell >= 0 at an ell that does not maximize
+    hidden = [
+        pair for pair in pairs
+        if hbn.component_dim(*pair) >= 0 and pair[4] not in hbn.rho_k(*pair[:4])[1]
+    ]
+    # d = 0 and ell < r+1-k: outside dimension_bounds' grid, and left out by
+    # dimension_identity when it checked only ell >= r+1-k
+    low = [(g, k, r, d, ell) for g, k, r, d, ell in pairs if d == 0 and ell < r + 1 - k]
+    assert (len(hidden), len(low)) == (28, 24)
+    survivors = [
+        (pair, delta)
+        for pair in hidden + low
+        for delta in (1, -1)
+        if not _caught(
+            monkeypatch, hbn.component_dim, _component_mutant(pair, delta), COMPONENT_READERS
+        )
+    ]
     assert survivors == []
 
 
@@ -122,8 +205,9 @@ def test_search_never_reads_rho_k(monkeypatch):
     assert len(instances) == 528
     expected = [tableaux.max_omitted(*instance) for instance in instances]
 
-    def raising(g, k, r, d):
-        raise AssertionError("the search read rho_k")
+    def raising(*args):
+        raise AssertionError("the search read rho_k or component_dim")
 
     _bind(monkeypatch, hbn.rho_k, raising)
+    _bind(monkeypatch, hbn.component_dim, raising)
     assert [tableaux.max_omitted(*instance) for instance in instances] == expected

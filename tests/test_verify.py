@@ -223,8 +223,13 @@ def test_kernel_work_of_a_full_run(monkeypatch):
         "hbn.rho_k": (hbn, "rho_k", 3_216),
         # one chain per (g, d, r): 42 distinct triples for each of the two chain checks
         "chains.build_chain": (chains, "build_chain", 84),
-        # dimension_bounds' 21,042, and 235 for the existence half of nonexistence
-        "strata.stratum_dimension": (strata, "stratum_dimension", 21_277),
+        # dimension_identity's 3,696 (every ell of its 924 instances), dimension_bounds'
+        # 18,468, and 235 for the non-empty balanced types of nonexistence
+        "strata.stratum_dimension": (strata, "stratum_dimension", 22_399),
+        # one per rho_k call (3,216), per (instance, ell) of dimension_identity (3,696),
+        # dimension_bounds (1,620) and nonexistence (1,320), and two per degeneracy_dims
+        # pair (1,980): its cross-check and degeneracy_identity's count
+        "hbn.component_dim": (hbn, "component_dim", 13_812),
         "strata.enumerate_types": (strata, "enumerate_types", 9),
         # the checks build their (r, ell) tables once: balanced types 28 + 10 + 21, and
         # decompositions 28 + 21 beside ell_round_trip's 861, degeneracy_dims' 1,980
