@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ._value import set_attr, value_class
 from .errors import DomainError
-from .hbn import rho
+from .hbn import check_degree, rho
 
 LAST_RANGE_NOTE = (
     "last-range incoming ramification follows the arithmetic progression "
@@ -137,8 +137,7 @@ def build_chain(g: int, k: int, r: int, d: int) -> ChainSeries:
     """
     if k < r + 2:
         raise DomainError(f"need k >= r+2, got k={k}, r={r}", code="pencil_too_small")
-    if d > g - 1:
-        raise DomainError(f"need d <= g-1, got d={d}, g={g}", code="degree_out_of_range")
+    check_degree(g, d)
     if r < 0:
         raise DomainError(f"need r >= 0, got {r}", code="bad_rank")
     if rho(g, r, d) < 0:
@@ -162,19 +161,11 @@ def build_chain(g: int, k: int, r: int, d: int) -> ChainSeries:
 
 @value_class
 class ChainReport:
-    def __init__(
-        self,
-        ok: bool,
-        failures: tuple[str, ...],
-        total_adjusted: int,
-        expected_total: int,
-        notes: tuple[str, ...] = (LAST_RANGE_NOTE, TORSION_NOTE),
-    ):
+    def __init__(self, ok: bool, failures: tuple[str, ...], total_adjusted: int, expected_total: int):
         set_attr(self, "ok", ok)
         set_attr(self, "failures", failures)
         set_attr(self, "total_adjusted", total_adjusted)
         set_attr(self, "expected_total", expected_total)
-        set_attr(self, "notes", notes)
 
     def to_dict(self) -> dict:
         return {
@@ -182,7 +173,7 @@ class ChainReport:
             "failures": list(self.failures),
             "total_adjusted": self.total_adjusted,
             "expected_total": self.expected_total,
-            "notes": list(self.notes),
+            "notes": [LAST_RANGE_NOTE, TORSION_NOTE],
         }
 
 

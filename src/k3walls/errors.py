@@ -8,7 +8,7 @@ class DomainError(ValueError):
     consistently across releases.
     """
 
-    def __init__(self, message, code="domain_error"):
+    def __init__(self, message, code):
         super().__init__(message)
         self.code = code
 

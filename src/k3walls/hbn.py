@@ -15,6 +15,12 @@ from .errors import DomainError, OracleViolation
 from .lattice import check_pencil_degree
 
 
+def check_degree(g: int, d: int) -> None:
+    """A Brill-Noether instance of degree d on genus g needs d <= g-1."""
+    if d > g - 1:
+        raise DomainError(f"need d <= g-1, got d={d}, g={g}", code="degree_out_of_range")
+
+
 def rho(g: int, r: int, d: int) -> int:
     """Brill-Noether number g - (r+1)(g-d+r).  Accepts any integers."""
     return g - (r + 1) * (g - d + r)
@@ -85,8 +91,7 @@ def degeneracy_dims(g: int, k: int, d: int, r: int, ell: int) -> DegeneracyDims:
     The result is cross-checked against component_dim(g, k, r, d, ell); a
     mismatch would be an implementation bug and raises OracleViolation.
     """
-    if d > g - 1:
-        raise DomainError(f"need d <= g-1, got d={d}, g={g}", code="degree_out_of_range")
+    check_degree(g, d)
     if not max(0, r + 2 - k) <= ell <= r:
         raise DomainError(
             f"need max(0, r+2-k) <= ell <= r, got ell={ell} for r={r}, k={k}", code="ell_out_of_range"
@@ -143,8 +148,7 @@ class SplittingType:
 
 def splitting_nonneg_part(g: int, k: int, d: int, st: SplittingType) -> SplittingType:
     """Validate a splitting type against (g, k, d) and return its f >= 0 part."""
-    if d > g - 1:
-        raise DomainError(f"need d <= g-1, got d={d}, g={g}", code="degree_out_of_range")
+    check_degree(g, d)
     if (rank := st.rank()) != k:
         raise DomainError(f"rank mismatch: multiplicities sum to {rank}, expected k={k}", code="rank_mismatch")
     if st.pairs[-1][0] >= 0:

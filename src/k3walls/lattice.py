@@ -47,15 +47,6 @@ class SurfaceParams:
 
 
 @value_class
-class PicClass:
-    """A divisor class x*H + y*E in the (H, E) basis."""
-
-    def __init__(self, x: int, y: int):
-        set_attr(self, "x", x)
-        set_attr(self, "y", y)
-
-
-@value_class
 class MukaiVector:
     """Integer vector (r, x*H + y*E, s) in the extended lattice.
 
@@ -71,10 +62,6 @@ class MukaiVector:
     @property
     def ch2(self) -> int:
         return self.s - self.r
-
-    @property
-    def c1(self) -> PicClass:
-        return PicClass(self.x, self.y)
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":
         return MukaiVector(self.r + other.r, self.x + other.x, self.y + other.y, self.s + other.s)
@@ -94,11 +81,6 @@ class MukaiVector:
 def _intersect(params: SurfaceParams, x: int, y: int, xp: int, yp: int) -> int:
     """(xH+yE).(x'H+y'E) = xx'(2g-2) + (xy'+x'y)k."""
     return x * xp * params.h_square + (x * yp + xp * y) * params.k
-
-
-def intersection(params: SurfaceParams, c: PicClass, cp: PicClass) -> int:
-    """Intersection product (xH+yE).(x'H+y'E) = xx'(2g-2) + (xy'+x'y)k."""
-    return _intersect(params, c.x, c.y, cp.x, cp.y)
 
 
 def mukai_pairing(params: SurfaceParams, v1: MukaiVector, v2: MukaiVector) -> int:

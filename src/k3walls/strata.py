@@ -278,7 +278,7 @@ def type_verdict(params: SurfaceParams, v: MukaiVector, t: StabilityType) -> Ver
     case.  Anything else is unknown.
     """
     check_special_shape(v)
-    if _residual_square(params, v, t.sum_m, t.sum_me) < -2:  # the square filter
+    if not passes_square_filter(params, v, t):
         return Verdict.EMPTY_BY_NECESSITY
     pairs, ch2 = t.pairs, v.s - v.r
     balanced = len(pairs) == 1 or (len(pairs) == 2 and pairs[0][0] == pairs[1][0] + 1)

@@ -22,21 +22,8 @@ class Tableau:
     def __init__(self, grid: tuple[tuple[int, ...], ...]):
         set_attr(self, "grid", grid)
 
-    @property
-    def rows(self) -> int:
-        return len(self.grid)
-
     def to_list(self) -> list[list[int]]:
         return [list(row) for row in self.grid]
-
-    @classmethod
-    def from_list(cls, rows) -> "Tableau":
-        """The tableau of a list of rows, each a list of plain ints; nothing is coerced."""
-        if type(rows) is not list or not all(
-            type(row) is list and all(type(v) is int for v in row) for row in rows
-        ):
-            raise DomainError("a tableau is a list of lists of integers", code="ill_formed_tableau")
-        return cls(tuple(tuple(row) for row in rows))
 
 
 def _grid_shape(g: int, r: int, d: int) -> tuple[int, int]:
@@ -71,7 +58,7 @@ def _search_shape(g: int, r: int, d: int) -> tuple[int, int]:
 def is_valid(g: int, k: int, r: int, d: int, t: Tableau) -> bool:
     """Both displacement conditions, with every label in [1, g]."""
     rows, cols = _grid_shape(g, r, d)
-    if t.rows != rows or any(len(row) != cols for row in t.grid):
+    if len(t.grid) != rows or any(len(row) != cols for row in t.grid):
         raise DomainError(
             f"grid shape mismatch: expected {rows}x{cols}", code="shape_mismatch"
         )

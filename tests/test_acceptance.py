@@ -202,13 +202,22 @@ GOLDEN_PLOTS = {
 }
 
 
-def run_k3walls(args, cwd):
-    """stdout of ``python -m k3walls *args`` in cwd, importing this checkout's package."""
+def child_env():
+    """The environment of a child process that imports the same k3walls as this test.
+
+    PACKAGE_ROOT goes first on PYTHONPATH; the rest of the environment, an
+    existing PYTHONPATH included, is passed on.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
+    return env
+
+
+def run_k3walls(args, cwd):
+    """stdout of ``python -m k3walls *args`` in cwd, importing this checkout's package."""
     proc = subprocess.run(
         [sys.executable, "-m", "k3walls", *args],
-        cwd=cwd, env=env, capture_output=True, check=True,
+        cwd=cwd, env=child_env(), capture_output=True, check=True,
     )
     return proc.stdout
 

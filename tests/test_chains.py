@@ -125,7 +125,7 @@ def test_tampered_chain_detected():
 
 def test_report_carries_convention_note():
     report = verify_chain(build_chain(5, 4, 1, 4))
-    assert any("arithmetic progression" in note for note in report.notes)
+    assert any("arithmetic progression" in note for note in report.to_dict()["notes"])
 
 
 def with_components(chain, components):

@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import os
 import re
 import subprocess
 import sys
@@ -12,6 +11,7 @@ from hypothesis import strategies as st
 
 from k3walls import strata, tableaux, verify
 from k3walls.cli import main
+from test_acceptance import child_env
 
 
 def run_cli(capsys, *args):
@@ -407,6 +407,9 @@ def test_exit_code_on_domain_error(capsys):
         (["verify", "--suite", "x", "--max-g", "4", "--max-k", "3"], "unknown_suite"),
         # k >= r+2 and d <= g-1 hold, so the rank is what fails
         (["chain", "--g", "5", "--k", "1", "--r", "-1", "--d", "3"], "bad_rank"),
+        # k >= r+2 holds, so the degree is what fails, in build_chain and degeneracy_dims
+        (["chain", "--g", "5", "--k", "3", "--r", "1", "--d", "5"], "degree_out_of_range"),
+        (["decompose", "--r", "1", "--ell", "1", "--g", "5", "--k", "3", "--d", "5"], "degree_out_of_range"),
     ],
 )
 def test_exit_code_on_bad_pencil_degree(capsys, argv, error):
@@ -509,8 +512,7 @@ def test_cli_loads_no_dataclasses_typing_or_inspect():
         "cli.main(['rho', '--g', '5', '--r', '1', '--d', '3'])\n"
         "print(sorted({'dataclasses', 'typing', 'inspect'} & set(sys.modules)))\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -527,8 +529,7 @@ def test_cli_loads_no_dataclasses_typing_or_inspect():
 def test_import_loads_only_what_the_module_uses(module, loaded):
     # the package re-exports nothing, so importing a module loads only the modules it imports
     script = f"import sys\nimport {module}\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'k3walls'))\n"
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-    proc = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-S", "-c", script], env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == loaded.split()
 
@@ -670,8 +671,7 @@ def test_cli_contract(tmp_path_factory, argv, missing_dir):
 )
 def test_entry_point_exits_with_the_status_of_main(capsys, argv, status):
     # python -m k3walls freezes the heap after main returns; the bytes and the status stay
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), os.pardir, "src"))
-    proc = subprocess.run([sys.executable, "-m", "k3walls", *argv], env=env, capture_output=True)
+    proc = subprocess.run([sys.executable, "-m", "k3walls", *argv], env=child_env(), capture_output=True)
     code, out, _ = run_cli(capsys, *argv)
     assert proc.returncode == code == status
     assert proc.stdout == out.encode()

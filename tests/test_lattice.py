@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from k3walls.errors import DomainError, OracleViolation
 from k3walls.lattice import (
     MukaiVector,
-    PicClass,
     SurfaceParams,
     _char_poly,
     check_special_shape,
     discriminant,
-    intersection,
     line_bundle_vector,
     mukai_pairing,
 )
@@ -30,12 +28,13 @@ def test_params_validation():
 
 
 def test_intersection_examples():
-    h = PicClass(1, 0)
-    e = PicClass(0, 1)
-    assert intersection(P32, h, h) == 4
-    assert intersection(P52, PicClass(1, -1), PicClass(1, -1)) == 4
-    assert intersection(P32, e, e) == 0
-    assert intersection(P42, e, e) == 0
+    # on rank-0 vectors with s = 0 the pairing is the intersection of the classes
+    h = MukaiVector(0, 1, 0, 0)
+    e = MukaiVector(0, 0, 1, 0)
+    assert mukai_pairing(P32, h, h) == 4
+    assert mukai_pairing(P52, MukaiVector(0, 1, -1, 0), MukaiVector(0, 1, -1, 0)) == 4
+    assert mukai_pairing(P32, e, e) == 0
+    assert mukai_pairing(P42, e, e) == 0
 
 
 def test_pairing_examples():
@@ -108,6 +107,6 @@ vectors = st.builds(MukaiVector, *[st.integers(-10**9, 10**9)] * 4)
 
 @given(st.integers(3, 500), st.integers(2, 500), vectors, vectors)
 def test_pairing_matches_pic_class_path(g, k, v1, v2):
-    params = SurfaceParams(g, k)
-    expected = intersection(params, PicClass(v1.x, v1.y), PicClass(v2.x, v2.y)) - v1.r * v2.s - v2.r * v1.s
-    assert mukai_pairing(params, v1, v2) == expected
+    # the formula written out: x*x'(2g-2) + (x*y' + x'*y)k - r*s' - r'*s
+    expected = v1.x * v2.x * (2 * g - 2) + (v1.x * v2.y + v2.x * v1.y) * k - v1.r * v2.s - v2.r * v1.s
+    assert mukai_pairing(SurfaceParams(g, k), v1, v2) == expected

@@ -30,7 +30,6 @@ from k3walls.strata import (
     type_verdict,
     wall_sequence,
 )
-from k3walls.tableaux import Tableau
 
 P52 = SurfaceParams(5, 2)
 V53 = MukaiVector(0, 1, 0, -1)  # genus 5, degree 3
@@ -142,10 +141,6 @@ def stability_params_eps(eps):
         (RamificationSequence, (True, 2), "ill_formed_ramification"),
         (RamificationSequence, ("3", 4), "ill_formed_ramification"),
         (RamificationSequence, [0, 1], "ill_formed_ramification"),
-        (Tableau.from_list, [[1.7, True], ["3", 4]], "ill_formed_tableau"),
-        (Tableau.from_list, [[1, 2], [True, 3]], "ill_formed_tableau"),
-        (Tableau.from_list, ((1, 2), (2, 3)), "ill_formed_tableau"),
-        (Tableau.from_list, [(1, 2)], "ill_formed_tableau"),
         (SplittingType, ((1.5, 1), (-4, 1)), "ill_formed_splitting"),
         (SplittingType, ((1, True), (-4, 1)), "ill_formed_splitting"),
         (SplittingType, [(1, 1), (-4, 1)], "ill_formed_splitting"),
@@ -157,7 +152,7 @@ def stability_params_eps(eps):
     ids=lambda x: getattr(x, "__name__", str(x)),
 )
 def test_library_values_are_not_coerced(build, value, code):
-    # only plain ints (and Fractions for eps) in tuples, or lists for a tableau;
+    # only plain ints (and Fractions for eps) in tuples;
     # a float, bool or str is an error, not an int()
     with pytest.raises(DomainError) as info:
         build(value)
@@ -411,8 +406,8 @@ def test_residual_square_meaning():
 
 
 def test_square_filter_check_catches_a_moved_threshold(monkeypatch):
-    # the check compares the filter with the square of the residual MukaiVector,
-    # and with the verdict, which reads the residual square itself
+    # the check compares the filter with the square of the residual MukaiVector;
+    # the verdict calls the filter, so only that comparison can catch the move
     def moved(params, v, t):
         return strata._residual_square(params, v, t.sum_m, t.sum_me) >= 0
 

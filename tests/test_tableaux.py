@@ -6,26 +6,26 @@ from k3walls.tableaux import SearchResult, Tableau, is_valid, max_omitted, max_o
 
 
 def test_is_valid_examples():
-    t = Tableau.from_list([[1, 2], [2, 3]])
+    t = Tableau(((1, 2), (2, 3)))
     assert is_valid(3, 2, 1, 2, t) is True  # 2x2 grid: g-d+r = 2
     assert is_valid(3, 3, 1, 2, t) is False  # -1 != 1 mod 3
 
 
 def test_is_valid_injective_filling():
-    t = Tableau.from_list([[1, 2, 3], [4, 5, 6]])
+    t = Tableau(((1, 2, 3), (4, 5, 6)))
     assert is_valid(6, 2, 1, 4, t) is True
     assert is_valid(6, 5, 1, 4, t) is True  # congruence vacuous without repeats
 
 
 def test_is_valid_rejections():
-    assert is_valid(3, 2, 1, 2, Tableau.from_list([[1, 2], [1, 3]])) is False  # column not increasing
-    assert is_valid(3, 2, 1, 2, Tableau.from_list([[2, 2], [3, 4]])) is False  # row not increasing
-    assert is_valid(3, 2, 1, 2, Tableau.from_list([[1, 2], [2, 4]])) is False  # label above cap
+    assert is_valid(3, 2, 1, 2, Tableau(((1, 2), (1, 3)))) is False  # column not increasing
+    assert is_valid(3, 2, 1, 2, Tableau(((2, 2), (3, 4)))) is False  # row not increasing
+    assert is_valid(3, 2, 1, 2, Tableau(((1, 2), (2, 4)))) is False  # label above cap
 
 
 def test_is_valid_shape_mismatch():
     with pytest.raises(DomainError, match="shape"):
-        is_valid(5, 2, 1, 3, Tableau.from_list([[1, 2], [2, 3]]))
+        is_valid(5, 2, 1, 3, Tableau(((1, 2), (2, 3))))
 
 
 def test_max_omitted_examples():

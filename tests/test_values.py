@@ -4,16 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from k3walls.chains import (
-    LAST_RANGE_NOTE,
-    TORSION_NOTE,
-    ChainComponent,
-    ChainReport,
-    ChainSeries,
-    RamificationSequence,
-)
+from k3walls.chains import ChainComponent, ChainReport, ChainSeries, RamificationSequence
 from k3walls.hbn import DegeneracyDims, EllDecomposition, SplittingType
-from k3walls.lattice import MukaiVector, PicClass, SurfaceParams
+from k3walls.lattice import MukaiVector, SurfaceParams
 from k3walls.stability import StabilityParams, StabilityPoint, WallPoint
 from k3walls.strata import StabilityType, StratumExtremes, TypeEnumeration
 from k3walls.tableaux import OracleReport, SearchResult, Tableau
@@ -25,7 +18,6 @@ ONE_CELL = Tableau(((1,),))
 # (class, positional field values, repr); every value class of the package appears once
 SAMPLES = [
     (SurfaceParams, (5, 2), "SurfaceParams(g=5, k=2)"),
-    (PicClass, (1, -2), "PicClass(x=1, y=-2)"),
     (MukaiVector, (0, 1, -1, 2), "MukaiVector(r=0, x=1, y=-1, s=2)"),
     (EllDecomposition, (3, 1, 0, 2), "EllDecomposition(ell=3, e=1, m1=0, m2=2)"),
     (DegeneracyDims, (1, 2, 3, -4), "DegeneracyDims(s=1, rk_e=2, rk_f=3, expected_dim=-4)"),
@@ -69,8 +61,8 @@ SAMPLES = [
     (ChainSeries, (5, 4, 1, 4, ()), "ChainSeries(g=5, k=4, r=1, d=4, components=())"),
     (
         ChainReport,
-        (False, ("bad",), 0, 1, ("note",)),
-        "ChainReport(ok=False, failures=('bad',), total_adjusted=0, expected_total=1, notes=('note',))",
+        (False, ("bad",), 0, 1),
+        "ChainReport(ok=False, failures=('bad',), total_adjusted=0, expected_total=1)",
     ),
     (CheckResult, ("lattice.signature", True, "ok"), "CheckResult(name='lattice.signature', ok=True, detail='ok')"),
 ]
@@ -98,7 +90,6 @@ def test_value_class_contract(cls, args, text):
 
 def test_value_classes_with_equal_fields_differ():
     assert MukaiVector(1, 2, 3, 4) != EllDecomposition(1, 2, 3, 4) != DegeneracyDims(1, 2, 3, 4)
-    assert PicClass(5, 2) != SurfaceParams(5, 2)
     assert SplittingType(((1, 1),)) != StabilityType(((1, 1),))
 
 
@@ -106,8 +97,6 @@ def test_value_class_defaults():
     wall = WallPoint(Fraction(0), MukaiVector(1, 0, 0, 1), "origin_ray")
     assert wall.e is None and wall == WallPoint(Fraction(0), MukaiVector(1, 0, 0, 1), "origin_ray", None)
     assert StabilityType().pairs == () and StabilityType() == StabilityType(())
-    report = ChainReport(True, (), 1, 1)
-    assert report.notes == (LAST_RANGE_NOTE, TORSION_NOTE)
 
 
 def test_derived_attributes_are_not_fields():

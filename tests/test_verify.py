@@ -15,8 +15,7 @@ import pytest
 
 from k3walls import chains, cli, hbn, lattice, strata, tableaux, verify
 from k3walls.verify import CheckResult, run_checks
-
-PACKAGE_ROOT = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+from test_acceptance import child_env
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="the OS cannot fork")
 
@@ -144,9 +143,7 @@ def test_entry_point_forks_with_the_same_bytes(capsys):
         "sys.stderr.write(f'forks={len(forks)}\\n')\n"
         "sys.exit(status)\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [PACKAGE_ROOT, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True)
+    proc = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True)
     assert proc.returncode == 0
     assert proc.stderr.decode().endswith("forks=2\n")
     assert cli.main(["verify", "--suite", "all", "--max-g", "4", "--max-k", "3"]) == 0
